@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"ERROR usage: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"ERROR io: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -13,24 +13,14 @@ from .tagger import TaggerModel, decode_spans, predict
 
 @dataclass(frozen=True)
 class SpanCounts:
-    """Span-level outcome counts for one document.
-
-    ``tn`` is carried for completeness but is ill-defined for spans and
-    stays 0; no score reads it.
-    """
+    """Span-level outcome counts for one document."""
 
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    tn: int = 0
 
     def __add__(self, other: "SpanCounts") -> "SpanCounts":
-        return SpanCounts(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.tn + other.tn,
-        )
+        return SpanCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
 @dataclass(frozen=True)

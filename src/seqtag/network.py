@@ -1,7 +1,8 @@
 """From-scratch neural stack: dense layers, LSTM cell, BPTT, SGD.
 
-Parameters live in a flat ``dict[str, np.ndarray]`` keyed by
-``"<layer>.<tensor>"``; gradients use the same keys and shapes.  Everything
+Parameters live in a ``Params`` mapping: named views into one flat float64
+buffer, keyed by ``"<layer>.<tensor>"``.  Initialized, loaded and gradient
+tensors all use this one type, so SGD is a single vector update.  Everything
 runs in double precision so analytic gradients can be verified against
 central finite differences.
 
@@ -15,6 +16,7 @@ no second squashing; this exact form is reproduced deliberately.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,61 +94,55 @@ def param_spec(config: NetworkConfig) -> list[tuple[str, tuple]]:
     return spec
 
 
-class TensorBag(dict):
-    """dict[str, ndarray] whose tensors are views into one flat buffer.
+class Params(Mapping):
+    """Read-only mapping of named float64 tensors that are views into ``flat``.
 
-    The shared buffer lets the SGD update and the finiteness check run as
-    single vector operations instead of one per tensor.  Replacing an entry
-    after construction detaches it from the buffer, so that bag silently
-    falls back to per-tensor updates.
+    Iteration follows the spec order, which is the model-file manifest
+    order.  In the buffer, each LSTM's per-gate tensors are grouped by kind
+    (``wx_c..wx_o``, then ``wh_*``, then ``b_*``), so ``fused["<lstm>.wx"]``,
+    ``fused["<lstm>.wh"]`` and ``fused["<lstm>.b"]`` are ``(4*cells, ...)``
+    views over all four gates.  Tensors are updated in place; entries cannot
+    be replaced.
     """
 
     def __init__(self, spec: list[tuple[str, tuple]]):
-        super().__init__()
-        total = sum(math.prod(shape) for _, shape in spec)
-        self.flat = np.zeros(total)
-        offset = 0
+        # "<lstm>.<kind>_<gate>" tensors are grouped under "<lstm>.<kind>";
+        # every other tensor is a group of its own.
+        groups: dict[str, list[tuple[str, tuple]]] = {}
         for name, shape in spec:
-            n = math.prod(shape)
-            self[name] = self.flat[offset : offset + n].reshape(shape)
-            offset += n
-        self._fused_ok = True
-
-    def __setitem__(self, key, value):
-        # In-place updates (bag[k] += v) re-set the identical array; only a
-        # genuine replacement detaches the bag from its buffer.
-        if getattr(self, "_fused_ok", False) and self.get(key) is not value:
-            self._fused_ok = False
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key):
-        self._fused_ok = False
-        super().__delitem__(key)
-
-    def __deepcopy__(self, memo):
-        new = TensorBag.__new__(TensorBag)
-        dict.__init__(new)
-        new.flat = self.flat.copy()
-        consistent = getattr(self, "_fused_ok", False)
+            prefix, _, tensor = name.rpartition(".")
+            kind, _, gate = tensor.partition("_")
+            key = f"{prefix}.{kind}" if gate in _GATES else name
+            groups.setdefault(key, []).append((name, shape))
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in spec))
+        views: dict[str, np.ndarray] = {}
+        self.fused: dict[str, np.ndarray] = {}
         offset = 0
-        for name, tensor in self.items():
-            if consistent:
-                n = tensor.size
-                view = new.flat[offset : offset + n].reshape(tensor.shape)
-                dict.__setitem__(new, name, view)
-                offset += n
-            else:
-                dict.__setitem__(new, name, tensor.copy())
-        new._fused_ok = consistent
-        return new
+        for key, members in groups.items():
+            start = offset
+            for name, shape in members:
+                views[name] = self.flat[offset : offset + math.prod(shape)].reshape(shape)
+                offset += views[name].size
+            if key not in views:
+                self.fused[key] = self.flat[start:offset].reshape(-1, *members[0][1][1:])
+        self._views = {name: views[name] for name, _ in spec}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
 
-def init_params(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
+def init_params(config: NetworkConfig, seed: int) -> Params:
     """Initialize parameters: uniform(-r, r) weights with
     r = sqrt(6 / (fan_in + fan_out)), zero biases, forget-gate biases 1.0.
     """
     rng = np.random.default_rng(seed)
-    params = TensorBag(param_spec(config))
+    params = Params(param_spec(config))
     for name, tensor in params.items():
         if tensor.ndim == 1:
             if name.endswith(".b_f"):
@@ -158,8 +154,8 @@ def init_params(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def zero_gradients(config: NetworkConfig) -> dict[str, np.ndarray]:
-    return TensorBag(param_spec(config))
+def zero_gradients(config: NetworkConfig) -> Params:
+    return Params(param_spec(config))
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +171,13 @@ def _dense_forward(params, prefix, xs, relu=True):
 
 def _dense_backward(params, prefix, cache, dout, grads):
     dpre = dout * (cache["pre"] > 0) if cache["relu"] else dout
-    grads[f"{prefix}.w"] += dpre.T @ cache["xs"]
-    grads[f"{prefix}.b"] += dpre.sum(axis=0)
+    grads[f"{prefix}.w"][...] = dpre.T @ cache["xs"]
+    grads[f"{prefix}.b"][...] = dpre.sum(axis=0)
     return dpre @ params[f"{prefix}.w"]
 
 
 def lstm_forward(
-    params: dict, prefix: str, xs: np.ndarray, reverse: bool = False
+    params: Params, prefix: str, xs: np.ndarray, reverse: bool = False
 ) -> tuple[np.ndarray, dict]:
     """Run one LSTM direction over a (T, in_dim) sequence.
 
@@ -193,12 +189,11 @@ def lstm_forward(
     if reverse:
         xs = xs[::-1]
     T = xs.shape[0]
-    cells = params[f"{prefix}.b_c"].shape[0]
-    wx_all = np.concatenate([params[f"{prefix}.wx_{g}"] for g in _GATES], axis=0)
-    wh_all = np.concatenate([params[f"{prefix}.wh_{g}"] for g in _GATES], axis=0)
-    b_all = np.concatenate([params[f"{prefix}.b_{g}"] for g in _GATES])
+    wh_all = params.fused[f"{prefix}.wh"]
+    cells = wh_all.shape[1]
 
-    pre_x = xs @ wx_all.T + b_all  # (T, 4*cells)
+    # (T, 4*cells): input projections of all four gates at once
+    pre_x = xs @ params.fused[f"{prefix}.wx"].T + params.fused[f"{prefix}.b"]
     cand = np.zeros((T, cells))
     gate_in = np.zeros((T, cells))
     gate_forget = np.zeros((T, cells))
@@ -233,8 +228,6 @@ def lstm_forward(
         "state": state,
         "state_prev": state_prev,
         "hidden_prev": hidden_prev,
-        "wx_all": wx_all,
-        "wh_all": wh_all,
         "reverse": reverse,
     }
     return (hidden[::-1] if reverse else hidden), cache
@@ -244,13 +237,13 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
     """Exact BPTT through one LSTM direction; returns gradient w.r.t. inputs.
 
     Per-step work covers only the recurrent dependencies; weight gradients
-    are accumulated afterwards with sequence-level matrix products.
+    are written afterwards, one sequence-level matrix product per fused block.
     """
     if cache["reverse"]:
         dhidden = dhidden[::-1]
     xs = cache["xs"]
     T, cells = dhidden.shape
-    wh_all = cache["wh_all"]
+    wh_all = params.fused[f"{prefix}.wh"]
 
     da_all = np.zeros((T, 4 * cells))
     dh_next = np.zeros(cells)
@@ -279,15 +272,10 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
         da[3 * cells :] = dgate_out * g_out * (1.0 - g_out)
         dh_next = wh_all.T @ da
 
-    dwx_all = da_all.T @ xs
-    dwh_all = da_all.T @ cache["hidden_prev"]
-    db_all = da_all.sum(axis=0)
-    for k, g in enumerate(_GATES):
-        rows = slice(k * cells, (k + 1) * cells)
-        grads[f"{prefix}.wx_{g}"] += dwx_all[rows]
-        grads[f"{prefix}.wh_{g}"] += dwh_all[rows]
-        grads[f"{prefix}.b_{g}"] += db_all[rows]
-    dxs = da_all @ cache["wx_all"]
+    grads.fused[f"{prefix}.wx"][...] = da_all.T @ xs
+    grads.fused[f"{prefix}.wh"][...] = da_all.T @ cache["hidden_prev"]
+    grads.fused[f"{prefix}.b"][...] = da_all.sum(axis=0)
+    dxs = da_all @ params.fused[f"{prefix}.wx"]
     return dxs[::-1] if cache["reverse"] else dxs
 
 
@@ -296,7 +284,7 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
 
 
 def forward(
-    xs: np.ndarray, config: NetworkConfig, params: dict
+    xs: np.ndarray, config: NetworkConfig, params: Params
 ) -> tuple[np.ndarray, dict]:
     """Evaluate the configured stack on a (T, input_dim) sentence.
 
@@ -350,26 +338,28 @@ def loss(ys: np.ndarray, gold: np.ndarray) -> float:
 
 
 def backward_bptt(
-    cache: dict, gold: np.ndarray, config: NetworkConfig, params: dict
-) -> dict[str, np.ndarray]:
+    cache: dict, gold: np.ndarray, config: NetworkConfig, params: Params, grads: Params
+) -> Params:
     """Exact gradients of loss(forward(xs), gold) w.r.t. every parameter.
 
     The sentence is unrolled in full; no truncation.  Softmax and
-    cross-entropy are fused, so dlogits = (y - onehot) / T.
+    cross-entropy are fused, so dlogits = (y - onehot) / T.  Every tensor
+    of ``grads`` receives exactly one contribution and is overwritten, so
+    one buffer from ``zero_gradients`` serves a whole training run.
     """
     ys = cache["ys"]
     gold = np.asarray(gold)
-    grads = zero_gradients(config)
     T = ys.shape[0]
     if T == 0:
+        grads.flat.fill(0.0)
         return grads
 
     dlogits = ys.copy()
     dlogits[np.arange(T), gold] -= 1.0
     dlogits /= T
 
-    grads["out.w"] += dlogits.T @ cache["top"]
-    grads["out.b"] += dlogits.sum(axis=0)
+    grads["out.w"][...] = dlogits.T @ cache["top"]
+    grads["out.b"][...] = dlogits.sum(axis=0)
     dtop = dlogits @ params["out.w"]
 
     if config.variant == "FF":
@@ -389,28 +379,15 @@ def backward_bptt(
     return grads
 
 
-def sgd_step(
-    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], learning_rate: float
-) -> dict[str, np.ndarray]:
-    """In-place p <- p - lr * g; rejects non-finite gradients."""
-    if (
-        isinstance(params, TensorBag)
-        and isinstance(grads, TensorBag)
-        and params._fused_ok
-        and grads._fused_ok
-    ):
-        if not np.isfinite(grads.flat.sum()):
-            raise ValueError(f"non-finite gradient in {_nonfinite_tensor(grads)}")
-        params.flat -= learning_rate * grads.flat
-        return params
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in {name}")
-        params[name] -= learning_rate * g
+def sgd_step(params: Params, grads: Params, learning_rate: float) -> Params:
+    """In-place p <- p - lr * g over the whole buffer; rejects non-finite gradients."""
+    if not np.isfinite(grads.flat.sum()):
+        raise ValueError(f"non-finite gradient in {_nonfinite_tensor(grads)}")
+    params.flat -= learning_rate * grads.flat
     return params
 
 
-def _nonfinite_tensor(grads: dict[str, np.ndarray]) -> str:
+def _nonfinite_tensor(grads: Params) -> str:
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             return name
@@ -474,7 +451,7 @@ def gradient_check(
             break
     redraws = attempt
 
-    analytic = backward_bptt(cache, gold, config, params)
+    analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
     if corruption:
         first = next(iter(analytic))
         analytic[first].flat[0] += corruption

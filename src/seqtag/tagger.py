@@ -5,15 +5,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .corpus import LABELS, LABEL_TO_INDEX, MentionSpan, Sentence, label_runs
 from .corpus import split_sentences, tokenize
 from .encoder import (
+    ENCODER_METHODS,
     FLAG_LAYOUT,
     DictEncoder,
     EmbeddingEncoder,
@@ -27,12 +29,14 @@ from .encoder import (
 )
 from .network import (
     NetworkConfig,
+    Params,
     backward_bptt,
     forward,
     init_params,
     loss,
     param_spec,
     sgd_step,
+    zero_gradients,
 )
 
 logger = logging.getLogger(__name__)
@@ -69,7 +73,7 @@ class TaggerModel:
 
     encoder: TokenEncoder
     config: NetworkConfig
-    params: dict[str, np.ndarray]
+    params: Params
     format_version: int = FORMAT_VERSION
     loss_trace: list[float] = field(default_factory=list, repr=False)
 
@@ -110,6 +114,7 @@ def train(
         learning_rate=learning_rate,
     )
     params = init_params(config, training.seed)
+    grads = zero_gradients(config)
 
     inputs = [encode_sentence(encoder, s) for s in sentences]
     golds = [
@@ -128,7 +133,7 @@ def train(
         for n in order:
             ys, cache = forward(inputs[n], config, params)
             total += loss(ys, golds[n])
-            grads = backward_bptt(cache, golds[n], config, params)
+            backward_bptt(cache, golds[n], config, params, grads)
             try:
                 sgd_step(params, grads, config.learning_rate)
             except ValueError as exc:
@@ -197,15 +202,6 @@ def annotate(model: TaggerModel, document_text: str, doc_id: str = "") -> list[M
 #   last 32 bytes SHA-256 of everything before them
 
 
-def _tensor_manifest(model: TaggerModel) -> list[tuple[str, np.ndarray]]:
-    tensors: list[tuple[str, np.ndarray]] = []
-    if isinstance(model.encoder, EmbeddingEncoder):
-        tensors.append(("embedding.vectors", model.encoder.table.vectors))
-    for name, _ in param_spec(model.config):
-        tensors.append((name, model.params[name]))
-    return tensors
-
-
 def _encoder_header(encoder: TokenEncoder) -> dict:
     if isinstance(encoder, TrigramEncoder):
         return {"method": "TRI", "trigrams": encoder.vocab.trigram_list()}
@@ -220,19 +216,14 @@ def _encoder_header(encoder: TokenEncoder) -> dict:
 
 def save_model(model: TaggerModel, path, meta: dict | None = None) -> None:
     """Write the model as a single self-contained checksummed binary file."""
-    tensors = _tensor_manifest(model)
+    tensors = list(model.params.items())
+    if isinstance(model.encoder, EmbeddingEncoder):
+        tensors.insert(0, ("embedding.vectors", model.encoder.table.vectors))
     header = {
         "format_version": model.format_version,
         "encoder": _encoder_header(model.encoder),
         "flag_layout": list(FLAG_LAYOUT),
-        "network": {
-            "variant": model.config.variant,
-            "input_dim": model.config.input_dim,
-            "dense_size": model.config.dense_size,
-            "lstm_cells": model.config.lstm_cells,
-            "n_classes": model.config.n_classes,
-            "learning_rate": model.config.learning_rate,
-        },
+        "network": asdict(model.config),
         "tensors": [[name, list(t.shape)] for name, t in tensors],
         "meta": meta or {},
     }
@@ -247,10 +238,26 @@ def save_model(model: TaggerModel, path, meta: dict | None = None) -> None:
         fh.write(hashlib.sha256(body).digest())
 
 
+_VOCABULARY_KEY = {"TRI": "trigrams", "DICT": "words", "EMB": "words"}
+
+# JSON types of the header's network section, one per NetworkConfig field.
+_NETWORK_TYPES = dict(variant=str, input_dim=int, dense_size=int, lstm_cells=int,
+                      n_classes=int, learning_rate=(int, float))
+
+
+def _has_type(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def load_model(path) -> TaggerModel:
-    """Load a model file; verifies the checksum before trusting any field."""
+    """Load a model file.
+
+    Verifies the checksum, then the header's structure and its tensor
+    manifest (names and shapes) against the configuration, before copying
+    each tensor from the file bytes into its parameter view.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < len(_MAGIC) + 8 + 32:
         raise ValueError(f"{path}: checksum mismatch (file truncated)")
     body, digest = blob[:-32], blob[-32:]
@@ -261,9 +268,14 @@ def load_model(path) -> TaggerModel:
     header_len = int.from_bytes(body[8:16], "little")
     if 16 + header_len > len(body):
         raise ValueError(f"{path}: header extends past end of file")
-    header = json.loads(body[16 : 16 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(bytes(body[16 : 16 + header_len]).decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _has_type(version, int) or version != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported format_version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
@@ -271,48 +283,55 @@ def load_model(path) -> TaggerModel:
     if header.get("flag_layout") != list(FLAG_LAYOUT):
         raise ValueError(f"{path}: unknown surface-flag layout")
 
+    enc = header.get("encoder")
+    method = enc.get("method") if isinstance(enc, dict) else None
+    if method not in ENCODER_METHODS:
+        raise ValueError(f"{path}: unknown encoder method {method!r}")
+    vocabulary = enc.get(_VOCABULARY_KEY[method])
+    if not (
+        isinstance(vocabulary, list)
+        and vocabulary
+        and all(isinstance(v, str) for v in vocabulary)
+        and (method != "EMB" or (_has_type(enc.get("dim"), int) and enc["dim"] > 0))
+    ):
+        raise ValueError(f"{path}: malformed encoder section in header")
+    net = header.get("network")
+    if not isinstance(net, dict) or not all(
+        _has_type(net.get(name), types) for name, types in _NETWORK_TYPES.items()
+    ):
+        raise ValueError(f"{path}: malformed network section in header")
+    try:
+        config = NetworkConfig(**{name: net[name] for name in _NETWORK_TYPES})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    manifest = param_spec(config)
+    if method == "EMB":
+        manifest.insert(0, ("embedding.vectors", (len(vocabulary), enc["dim"])))
+    if header.get("tensors") != [[name, list(shape)] for name, shape in manifest]:
+        raise ValueError(f"{path}: tensor manifest does not match configuration")
     offset = 16 + header_len
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(body):
-            raise ValueError(f"{path}: tensor {name!r} extends past end of file")
-        flat = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        tensors[name] = flat.astype(np.float64).reshape(shape)
-        offset += nbytes
-    if offset != len(body):
-        raise ValueError(f"{path}: trailing bytes after tensor data")
+    if len(body) - offset != 8 * sum(math.prod(shape) for _, shape in manifest):
+        raise ValueError(f"{path}: tensor data does not match the manifest's size")
 
-    enc = header["encoder"]
+    params = Params(param_spec(config))
+    for name, shape in manifest:
+        data = np.frombuffer(body, dtype="<f8", count=math.prod(shape), offset=offset)
+        if name == "embedding.vectors":
+            vectors = data.reshape(shape).astype(np.float64)
+        else:
+            params[name][...] = data.reshape(shape)
+        offset += data.nbytes
+
     encoder: TokenEncoder
-    if enc["method"] == "TRI":
-        encoder = TrigramEncoder(TrigramVocabulary(enc["trigrams"]))
-    elif enc["method"] == "DICT":
-        encoder = DictEncoder(WordVocabulary(enc["words"]))
-    elif enc["method"] == "EMB":
-        vectors = tensors.pop("embedding.vectors", None)
-        if vectors is None:
-            raise ValueError(f"{path}: EMB model lacks the embedding.vectors tensor")
-        encoder = EmbeddingEncoder(EmbeddingTable(enc["words"], vectors))
+    if method == "TRI":
+        encoder = TrigramEncoder(TrigramVocabulary(vocabulary))
+    elif method == "DICT":
+        encoder = DictEncoder(WordVocabulary(vocabulary))
     else:
-        raise ValueError(f"{path}: unknown encoder method {enc['method']!r}")
-
-    net = header["network"]
-    config = NetworkConfig(
-        variant=net["variant"],
-        input_dim=net["input_dim"],
-        dense_size=net["dense_size"],
-        lstm_cells=net["lstm_cells"],
-        n_classes=net["n_classes"],
-        learning_rate=net["learning_rate"],
-    )
+        encoder = EmbeddingEncoder(EmbeddingTable(vocabulary, vectors))
     if encoder.dim != config.input_dim:
         raise ValueError(
             f"{path}: encoder dimension {encoder.dim} does not match "
             f"network input_dim {config.input_dim}"
         )
-    expected = {name for name, _ in param_spec(config)}
-    if set(tensors) != expected:
-        raise ValueError(f"{path}: tensor manifest does not match configuration")
-    return TaggerModel(encoder, config, tensors, format_version=version)
+    return TaggerModel(encoder, config, params, format_version=version)

@@ -10,7 +10,6 @@ import os
 import random
 import time
 
-import conftest
 import numpy as np
 import pytest
 
@@ -33,16 +32,15 @@ from seqtag.encoder import (
     write_embeddings_file,
 )
 from seqtag.evaluation import count_document, evaluate, micro_scores
-from seqtag.network import NetworkConfig, gradient_check, lstm_forward
+from seqtag.network import NetworkConfig, Params, gradient_check, lstm_forward
 from seqtag.synth import SynthConfig, synthetic_corpus
 from seqtag.tagger import TrainingConfig, decode_spans, predict, train
 
 
 def report(name: str, detail: str = "") -> None:
+    """Print the criterion's PASS line; conftest.py repeats it in the summary."""
     suffix = f" ({detail})" if detail else ""
-    line = f"[ACCEPTANCE] {name}: PASS{suffix}"
-    print("\n" + line)
-    conftest.ACCEPTANCE_LINES.append(line)
+    print(f"\n[ACCEPTANCE] {name}: PASS{suffix}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +84,9 @@ SCALAR_TRACE = [
 
 
 def test_equation_fidelity_scalar_trace():
-    params = {
-        name: np.full((1, 1) if ".w" in name else (1,), value)
-        for name, value in SCALAR_PARAMS.items()
-    }
+    params = Params([(name, (1, 1) if ".w" in name else (1,)) for name in SCALAR_PARAMS])
+    for name, value in SCALAR_PARAMS.items():
+        params[name][...] = value
     xs = np.array([[1.0], [-0.5], [0.25]])
     hidden, cache = lstm_forward(params, "u", xs)
     for t, (s_exp, h_exp) in enumerate(SCALAR_TRACE):

@@ -76,6 +76,12 @@ def test_missing_corpus_reports_io_error(tmp_path, capsys):
     assert "ERROR io" in capsys.readouterr().err
 
 
+def test_model_path_that_is_a_directory_reports_io_error(tmp_path, capsys):
+    code = run(["annotate", "--model", str(tmp_path), "--text", "Aspirin helps."])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ERROR io: ")
+
+
 @pytest.fixture(scope="module")
 def trained_model_path(tmp_path_factory, bio_corpus_path):
     path = tmp_path_factory.mktemp("model") / "tagger.stm"

@@ -143,10 +143,6 @@ def test_count_one_prediction_covering_two_golds():
     assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
 
 
-def test_count_tn_placeholder_zero():
-    assert count_document([], []).tn == 0
-
-
 # ---------------------------------------------------------------------------
 # micro_scores
 

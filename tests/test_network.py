@@ -5,6 +5,7 @@ import pytest
 
 from seqtag.network import (
     NetworkConfig,
+    Params,
     backward_bptt,
     forward,
     gradient_check,
@@ -14,6 +15,7 @@ from seqtag.network import (
     param_spec,
     sgd_step,
     softmax_rows,
+    zero_gradients,
 )
 
 # Scalar single-cell reference trace, computed by an independent pure-Python
@@ -46,9 +48,17 @@ def scalar_reference_trace(weights, inputs):
     return trace
 
 
+def make_params(values):
+    """Params holding the given name -> array-like values, in that order."""
+    params = Params([(name, np.shape(value)) for name, value in values.items()])
+    for name, value in values.items():
+        params[name][...] = value
+    return params
+
+
 def scalar_params():
-    return {name: np.full((1, 1) if ".w" in name else (1,), value)
-            for name, value in SCALAR_WEIGHTS.items()}
+    return make_params({name: np.full((1, 1) if ".w" in name else (1,), value)
+                        for name, value in SCALAR_WEIGHTS.items()})
 
 
 def test_scalar_oracle_matches_frozen_constants():
@@ -67,7 +77,7 @@ def test_lstm_forward_reproduces_scalar_trace():
 
 
 def test_lstm_zero_params_fixpoint():
-    params = {name: np.zeros_like(t) for name, t in scalar_params().items()}
+    params = make_params({name: np.zeros_like(t) for name, t in scalar_params().items()})
     hidden, cache = lstm_forward(params, "u", np.random.default_rng(0).uniform(-1, 1, (4, 1)))
     assert np.all(hidden == 0.0)  # out gate 0.5, state tanh(0) = 0
     assert np.allclose(cache["gate_out"], 0.5)
@@ -122,7 +132,7 @@ def small_config(request):
 
 
 def test_zero_params_give_uniform_distributions(small_config):
-    params = {name: np.zeros(shape) for name, shape in param_spec(small_config)}
+    params = Params(param_spec(small_config))
     ys, _ = forward(np.ones((4, 6)), small_config, params)
     assert np.allclose(ys, 1.0 / 3.0)
 
@@ -131,7 +141,9 @@ def test_empty_sentence_gives_empty_outputs(small_config):
     params = init_params(small_config, 0)
     ys, cache = forward(np.zeros((0, 6)), small_config, params)
     assert ys.shape == (0, 3)
-    grads = backward_bptt(cache, np.zeros(0, dtype=int), small_config, params)
+    grads = zero_gradients(small_config)
+    grads.flat[:] = 1.0  # stale values from an earlier sentence
+    backward_bptt(cache, np.zeros(0, dtype=int), small_config, params, grads)
     assert all(not g.any() for g in grads.values())
 
 
@@ -241,7 +253,7 @@ def test_bptt_matches_finite_differences(variant, seed):
     xs = rng.uniform(-1, 1, (4, 5))
     gold = rng.integers(0, 3, 4)
     _, cache = forward(xs, config, params)
-    analytic = backward_bptt(cache, gold, config, params)
+    analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
     numeric = numeric_gradients(xs, gold, config, params)
     for name in analytic:
         err = np.abs(analytic[name] - numeric[name])
@@ -249,15 +261,45 @@ def test_bptt_matches_finite_differences(variant, seed):
         assert float((err / scale).max()) < 1e-4, name
 
 
+@pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
+@pytest.mark.parametrize("lengths", [(5, 3), (4, 0), (0, 4)])
+def test_reused_gradient_buffer_matches_fresh_buffer(variant, lengths):
+    config = NetworkConfig(variant, input_dim=5, dense_size=6, lstm_cells=3)
+    params = init_params(config, 0)
+    rng = np.random.default_rng(4)
+    (xs_a, gold_a), (xs_b, gold_b) = [
+        (rng.uniform(-1, 1, (T, 5)), rng.integers(0, 3, T)) for T in lengths
+    ]
+    reused = zero_gradients(config)
+    backward_bptt(forward(xs_a, config, params)[1], gold_a, config, params, reused)
+    backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, reused)
+    fresh = zero_gradients(config)
+    backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, fresh)
+    assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+
+def test_fused_views_share_the_per_gate_buffer():
+    config = NetworkConfig("BLSTM", input_dim=5, dense_size=6, lstm_cells=3)
+    params = init_params(config, 0)
+    assert list(params) == [name for name, _ in param_spec(config)]
+    for kind, shape in (("wx", (12, 6)), ("wh", (12, 3)), ("b", (12,))):
+        fused = params.fused[f"fwd.{kind}"]
+        assert fused.shape == shape and np.shares_memory(fused, params.flat)
+        stacked = np.concatenate([params[f"fwd.{kind}_{g}"] for g in "cifo"])
+        assert np.array_equal(fused, stacked)
+    with pytest.raises(TypeError):
+        params["out.b"] = np.zeros(3)
+
+
 def test_saturated_perfect_predictions_have_tiny_gradients():
     config = NetworkConfig("FF", input_dim=4, dense_size=5, lstm_cells=3)
-    params = {name: np.zeros(shape) for name, shape in param_spec(config)}
+    params = Params(param_spec(config))
     params["out.b"][1] = 50.0  # saturate towards class 1 for every token
     xs = np.random.default_rng(0).uniform(-1, 1, (3, 4))
     gold = np.array([1, 1, 1])
     ys, cache = forward(xs, config, params)
     assert loss(ys, gold) < 1e-8
-    grads = backward_bptt(cache, gold, config, params)
+    grads = backward_bptt(cache, gold, config, params, zero_gradients(config))
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     assert norm < 1e-8
 
@@ -267,29 +309,30 @@ def test_saturated_perfect_predictions_have_tiny_gradients():
 
 
 def test_sgd_zero_learning_rate_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
-    sgd_step(params, {"w": np.array([5.0, 5.0])}, 0.0)
+    params = make_params({"w": [1.0, -2.0]})
+    sgd_step(params, make_params({"w": [5.0, 5.0]}), 0.0)
     assert list(params["w"]) == [1.0, -2.0]
 
 
 def test_sgd_arithmetic():
-    params = {"w": np.array([1.0])}
-    sgd_step(params, {"w": np.array([2.0])}, 0.005)
+    params = make_params({"w": [1.0]})
+    sgd_step(params, make_params({"w": [2.0]}), 0.005)
     assert params["w"][0] == pytest.approx(0.99, rel=1e-15)
 
 
 def test_sgd_rejects_nan():
-    params = {"w": np.array([1.0])}
-    with pytest.raises(ValueError, match="non-finite"):
-        sgd_step(params, {"w": np.array([np.nan])}, 0.1)
+    params = make_params({"v": [0.0], "w": [1.0]})
+    with pytest.raises(ValueError, match="non-finite gradient in w"):
+        sgd_step(params, make_params({"v": [0.0], "w": [np.nan]}), 0.1)
 
 
 def test_sgd_descends_quadratic():
     # loss(w) = (w - 3)^2, gradient 2 (w - 3)
-    w = np.array([10.0])
+    params = make_params({"w": [10.0]})
+    w = params["w"]
     for _ in range(5):
         before = float((w[0] - 3.0) ** 2)
-        sgd_step({"w": w}, {"w": np.array([2.0 * (w[0] - 3.0)])}, 0.1)
+        sgd_step(params, make_params({"w": [2.0 * (w[0] - 3.0)]}), 0.1)
         assert (w[0] - 3.0) ** 2 < before
 
 
@@ -340,11 +383,11 @@ def test_training_determinism_bit_exact():
     golds = [rng.integers(0, 3, 3) for _ in range(4)]
 
     def run():
-        params = init_params(cfg, 7)
+        params, grads = init_params(cfg, 7), zero_gradients(cfg)
         for _ in range(10):
             for x, g in zip(xs, golds):
                 _, cache = forward(x, cfg, params)
-                sgd_step(params, backward_bptt(cache, g, cfg, params), 0.01)
+                sgd_step(params, backward_bptt(cache, g, cfg, params, grads), 0.01)
         return params
 
     a, b = run(), run()

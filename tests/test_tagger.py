@@ -1,8 +1,14 @@
+import hashlib
+import json
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqtag.cli import main as cli_main
 from seqtag.corpus import LABELS, MentionSpan, Sentence, Token
 from seqtag.encoder import EmbeddingTable
 from seqtag.synth import SynthConfig, synthetic_corpus
@@ -15,6 +21,8 @@ from seqtag.tagger import (
     save_model,
     train,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def make_sentence(words, labels=None):
@@ -229,18 +237,11 @@ def test_corrupted_byte_fails_checksum(tmp_path, tiny_sentences):
         load_model(path)
 
 
-def test_version_bump_rejected_explicitly(tmp_path, tiny_sentences):
-    import hashlib
-    import json
-
-    model = quick_train(tiny_sentences)
-    path = tmp_path / "model.stm"
-    save_model(model, path)
-    blob = path.read_bytes()
-    body = blob[:-32]
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the model file's JSON header and re-checksum the file."""
+    body = path.read_bytes()[:-32]
     header_len = int.from_bytes(body[8:16], "little")
-    header = json.loads(body[16 : 16 + header_len])
-    header["format_version"] = 99
+    header = edit(json.loads(body[16 : 16 + header_len]))
     new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     new_body = (
         body[:8]
@@ -249,14 +250,80 @@ def test_version_bump_rejected_explicitly(tmp_path, tiny_sentences):
         + body[16 + header_len :]
     )
     path.write_bytes(new_body + hashlib.sha256(new_body).digest())
+
+
+def test_version_bump_rejected_explicitly(tmp_path, tiny_sentences):
+    model = quick_train(tiny_sentences)
+    path = tmp_path / "model.stm"
+    save_model(model, path)
+    rewrite_header(path, lambda h: {**h, "format_version": 99})
     with pytest.raises(ValueError, match="format_version"):
         load_model(path)
 
 
+def _swap_shape(header, name):
+    for entry in header["tensors"]:
+        if entry[0] == name:
+            entry[1] = entry[1][::-1]
+    return header
+
+
+def _set(header, section, key, value):
+    header[section][key] = value
+    return header
+
+
+CRAFTED_HEADERS = {
+    "header not an object": lambda h: [h],
+    "boolean format_version": lambda h: {**h, "format_version": True},
+    "no network section": lambda h: {k: v for k, v in h.items() if k != "network"},
+    "string dense_size": lambda h: _set(h, "network", "dense_size", "12"),
+    "boolean lstm_cells": lambda h: _set(h, "network", "lstm_cells", True),
+    "unknown variant": lambda h: _set(h, "network", "variant", "GRU"),
+    "zero n_classes": lambda h: _set(h, "network", "n_classes", 0),
+    "no encoder section": lambda h: {k: v for k, v in h.items() if k != "encoder"},
+    "trigrams not strings": lambda h: _set(h, "encoder", "trigrams", [1, 2]),
+    "unhashable method": lambda h: _set(h, "encoder", "method", ["TRI"]),
+    "swapped tensor shape": lambda h: _swap_shape(h, "fwd.wx_c"),  # [4, 12] -> [12, 4]
+    "missing tensor": lambda h: {**h, "tensors": h["tensors"][:-1]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_HEADERS))
+def test_crafted_header_is_invalid_input_naming_the_file(
+    tmp_path, tiny_sentences, capsys, case
+):
+    path = tmp_path / "model.stm"
+    save_model(quick_train(tiny_sentences, epochs=1), path)
+    rewrite_header(path, CRAFTED_HEADERS[case])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_model(path)
+    assert cli_main(["annotate", "--model", str(path), "--text", "Aspirin helps."]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid-input: ") and str(path) in err
+
+
+def test_compat_fixture_predicts_recorded_distributions():
+    """The fixture model was written by the earlier per-tensor parameter code:
+    train(synthetic_corpus(SynthConfig(n_sentences=6, seed=4)).sentences,
+    "TRI", "BLSTM", TrainingConfig(epochs=3, seed=2), dense_size=8,
+    lstm_cells=3), saved without meta; the JSON file holds the distributions
+    that code predicted."""
+    recorded = json.loads((DATA / "compat_tri_blstm.json").read_text())
+    model = load_model(DATA / recorded["model"])
+    for case in recorded["sentences"]:
+        result = predict(model, make_sentence(case["words"]))
+        assert result.distributions.tolist() == case["distributions"]
+
+
+def test_compat_fixture_resaves_byte_identical(tmp_path):
+    original = DATA / "compat_tri_blstm.stm"
+    save_model(load_model(original), tmp_path / "resaved.stm")
+    assert (tmp_path / "resaved.stm").read_bytes() == original.read_bytes()
+
+
 def test_load_rejects_non_model_file(tmp_path):
     path = tmp_path / "junk.stm"
-    import hashlib
-
     body = b"NOTMODEL" + b"\x00" * 32
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(ValueError, match="not a seqtag model"):
