@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a tagger and save the model")
-    _add_common(p, "corpus", "seed", "model", "report")
+    _add_common(p, "corpus", "seed", "model")
     p.add_argument("--encoder", default="TRI", choices=ENCODER_METHODS)
     p.add_argument("--network", default="BLSTM", choices=VARIANTS)
     p.add_argument("--epochs", type=int, default=100)

@@ -405,13 +405,21 @@ def read_standoff(path) -> Corpus:
     documents = []
     for index, record in enumerate(records):
         where = f"{path}: record {index}"
-        if not isinstance(record, dict) or "text" not in record:
-            raise ValueError(f"{where}: expected an object with a 'text' field")
+        if not isinstance(record, dict) or not isinstance(record.get("text"), str):
+            raise ValueError(f"{where}: expected an object with a string 'text' field")
         text = record["text"]
         doc_id = str(record.get("doc_id", f"doc{index}"))
+        raw_mentions = record.get("mentions", [])
+        if not isinstance(raw_mentions, list):
+            raise ValueError(f"{where}: 'mentions' is not a list")
         mentions = []
-        for m in record.get("mentions", []):
-            begin, end = int(m["begin"]), int(m["end"])
+        for m in raw_mentions:
+            try:
+                begin, end = int(m["begin"]), int(m["end"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"{where}: mention {m!r} needs integer 'begin' and 'end'"
+                ) from None
             if not 0 <= begin < end <= len(text):
                 raise ValueError(
                     f"{where}: mention [{begin}, {end}) outside text "
@@ -441,7 +449,10 @@ def _standoff_records(content: str, path) -> list:
         if isinstance(obj, list):
             return obj
         if isinstance(obj, dict):
-            return obj["documents"] if "documents" in obj else [obj]
+            records = obj.get("documents", [obj])
+            if not isinstance(records, list):
+                raise ValueError(f"{path}: 'documents' is not a list")
+            return records
         raise ValueError(f"{path}: expected JSON records, got {type(obj).__name__}")
     # One JSON record per line.
     records = []

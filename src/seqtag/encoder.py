@@ -1,9 +1,12 @@
-"""Token encoders: vocabulary one-hot, pretrained embeddings, letter trigrams.
+"""Token encoders: one lexical multi-hot code and pretrained embeddings.
 
 Every encoder produces a dense float vector per token, with four surface-form
-flag slots appended after the lexical part.  Vocabularies and tables are
-immutable once built; encoding is a pure function and safe to use
-concurrently.
+flag slots appended after the lexical part.  The lexical encoder turns a
+token into vocabulary keys and sets the slot of each known key to 1.  TRI's
+keys are the token's letter trigrams (word hashing); DICT's one key is the
+lowercased token, so DICT is the one-key case of TRI.  EMB looks up a
+pretrained vector instead.  Vocabularies and tables are immutable once built;
+encoding is a pure function and safe to use concurrently.
 """
 from __future__ import annotations
 
@@ -77,57 +80,30 @@ def extract_trigrams(token_text: str) -> list[str]:
     return [padded[i : i + 3] for i in range(len(padded) - 2)]
 
 
-class TrigramVocabulary:
-    """Dense trigram -> index map with lexicographic index assignment."""
-
-    def __init__(self, trigrams: Iterable[str]):
-        ordered = sorted(set(trigrams))
-        if not ordered:
-            raise ValueError("empty trigram vocabulary")
-        self.index = {t: i for i, t in enumerate(ordered)}
-
-    @classmethod
-    def from_sentences(cls, sentences: Iterable[Sentence]) -> "TrigramVocabulary":
-        trigrams: set[str] = set()
-        for sentence in sentences:
-            for tok in sentence.tokens:
-                trigrams.update(extract_trigrams(tok.text))
-        return cls(trigrams)
-
-    @property
-    def size(self) -> int:
-        return len(self.index)
-
-    def trigram_list(self) -> list[str]:
-        return sorted(self.index, key=self.index.get)
+def _lexical_keys(method: str, token_text: str) -> list[str]:
+    """The vocabulary keys of a token: its letter trigrams under TRI, its
+    lowercased text under DICT."""
+    if method == "TRI":
+        return extract_trigrams(token_text)
+    return [token_text.lower()]
 
 
-class WordVocabulary:
-    """Dense lowercased word -> index map; unseen words have no index."""
+class Vocabulary:
+    """Sorted-set key -> index map: the i-th smallest distinct key gets index i."""
 
-    def __init__(self, words: Iterable[str]):
-        ordered = sorted({w.lower() for w in words})
-        if not ordered:
-            raise ValueError("empty word vocabulary")
-        self.index = {w: i for i, w in enumerate(ordered)}
-
-    @classmethod
-    def from_sentences(cls, sentences: Iterable[Sentence]) -> "WordVocabulary":
-        return cls(tok.text for sentence in sentences for tok in sentence.tokens)
+    def __init__(self, keys: Iterable[str]):
+        self.keys = sorted(set(keys))
+        if not self.keys:
+            raise ValueError("empty vocabulary")
+        self.index = {k: i for i, k in enumerate(self.keys)}
 
     @property
     def size(self) -> int:
-        return len(self.index)
-
-    def word_list(self) -> list[str]:
-        return sorted(self.index, key=self.index.get)
+        return len(self.keys)
 
 
 class EmbeddingTable:
-    """Pretrained word vectors of one fixed dimension.
-
-    Lookup misses yield the zero vector and are counted in `misses`.
-    """
+    """Pretrained word vectors of one fixed dimension; misses yield zeros."""
 
     def __init__(self, words: list[str], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -136,7 +112,6 @@ class EmbeddingTable:
         self.words = list(words)
         self.vectors = vectors
         self.index = {w: i for i, w in enumerate(self.words)}
-        self.misses = 0
 
     @property
     def dim(self) -> int:
@@ -145,7 +120,6 @@ class EmbeddingTable:
     def lookup(self, word: str) -> np.ndarray:
         i = self.index.get(word)
         if i is None:
-            self.misses += 1
             return np.zeros(self.dim)
         return self.vectors[i]
 
@@ -189,27 +163,6 @@ def write_embeddings_file(path, words: list[str], vectors: np.ndarray) -> None:
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
-class DictEncoder:
-    """One-hot encoding over a lowercased word vocabulary."""
-
-    method = "DICT"
-
-    def __init__(self, vocab: WordVocabulary):
-        self.vocab = vocab
-
-    @property
-    def dim(self) -> int:
-        return self.vocab.size + N_FLAGS
-
-    def encode(self, token_text: str) -> np.ndarray:
-        vec = np.zeros(self.dim)
-        i = self.vocab.index.get(token_text.lower())
-        if i is not None:
-            vec[i] = 1.0
-        vec[self.vocab.size :] = surface_flags(token_text).as_array()
-        return vec
-
-
 class EmbeddingEncoder:
     """Pretrained embedding lookup; unseen words map to the zero vector."""
 
@@ -229,17 +182,17 @@ class EmbeddingEncoder:
         return vec
 
 
-class TrigramEncoder:
-    """Multi-hot letter-trigram encoding, slot values clipped to {0, 1}.
+class LexicalEncoder:
+    """Multi-hot encoding over a key vocabulary, slot values clipped to {0, 1}.
 
-    Trigrams unseen at vocabulary-build time are skipped, so a novel or
-    misspelled word still lights up every trigram slot it shares with the
-    training vocabulary.
+    A TRI token's keys are its letter trigrams; a DICT token's one key is its
+    lowercased text.  Keys unseen at vocabulary-build time are skipped, so a
+    novel or misspelled word still lights up every trigram slot it shares
+    with the training vocabulary, while under DICT it lights up none.
     """
 
-    method = "TRI"
-
-    def __init__(self, vocab: TrigramVocabulary):
+    def __init__(self, method: str, vocab: Vocabulary):
+        self.method = method
         self.vocab = vocab
 
     @property
@@ -248,15 +201,15 @@ class TrigramEncoder:
 
     def encode(self, token_text: str) -> np.ndarray:
         vec = np.zeros(self.dim)
-        for trigram in extract_trigrams(token_text):
-            i = self.vocab.index.get(trigram)
+        for key in _lexical_keys(self.method, token_text):
+            i = self.vocab.index.get(key)
             if i is not None:
                 vec[i] = 1.0
         vec[self.vocab.size :] = surface_flags(token_text).as_array()
         return vec
 
 
-TokenEncoder = DictEncoder | EmbeddingEncoder | TrigramEncoder
+TokenEncoder = LexicalEncoder | EmbeddingEncoder
 
 
 def build_encoder(
@@ -266,14 +219,12 @@ def build_encoder(
 ) -> TokenEncoder:
     """Build the encoder for `method` from training sentences or a table."""
     method = method.upper()
-    if method == "DICT":
+    if method in ("DICT", "TRI"):
         if train_sentences is None:
-            raise ValueError("DICT encoder needs training sentences")
-        return DictEncoder(WordVocabulary.from_sentences(train_sentences))
-    if method == "TRI":
-        if train_sentences is None:
-            raise ValueError("TRI encoder needs training sentences")
-        return TrigramEncoder(TrigramVocabulary.from_sentences(train_sentences))
+            raise ValueError(f"{method} encoder needs training sentences")
+        texts = (tok.text for sentence in train_sentences for tok in sentence.tokens)
+        keys = (key for text in texts for key in _lexical_keys(method, text))
+        return LexicalEncoder(method, Vocabulary(keys))
     if method == "EMB":
         if table is None:
             raise ValueError("EMB encoder needs a loaded embedding table")

@@ -407,7 +407,6 @@ class GradientCheckReport:
     max_rel_error: float
     per_block: dict[str, float] = field(default_factory=dict)
     n_coordinates: int = 0
-    redraws: int = 0
 
     @property
     def passed(self) -> bool:
@@ -449,7 +448,6 @@ def gradient_check(
         _, cache = forward(xs, config, params)
         if _min_relu_margin(cache) > 1e-4:
             break
-    redraws = attempt
 
     analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
     if corruption:
@@ -482,7 +480,6 @@ def gradient_check(
         max_rel_error=max(per_block.values()),
         per_block=per_block,
         n_coordinates=n_coords,
-        redraws=redraws,
     )
 
 

@@ -17,13 +17,11 @@ from .corpus import split_sentences, tokenize
 from .encoder import (
     ENCODER_METHODS,
     FLAG_LAYOUT,
-    DictEncoder,
     EmbeddingEncoder,
     EmbeddingTable,
+    LexicalEncoder,
     TokenEncoder,
-    TrigramEncoder,
-    TrigramVocabulary,
-    WordVocabulary,
+    Vocabulary,
     build_encoder,
     encode_sentence,
 )
@@ -51,7 +49,6 @@ class TrainingConfig:
 
     epochs: int = 100
     seed: int = 0
-    shuffle: bool = True
     log_every: int = 10
 
     def __post_init__(self) -> None:
@@ -74,7 +71,6 @@ class TaggerModel:
     encoder: TokenEncoder
     config: NetworkConfig
     params: Params
-    format_version: int = FORMAT_VERSION
     loss_trace: list[float] = field(default_factory=list, repr=False)
 
 
@@ -127,8 +123,7 @@ def train(
     trace: list[float] = []
     started = time.monotonic()
     for epoch in range(training.epochs):
-        if training.shuffle:
-            rng.shuffle(order)
+        rng.shuffle(order)
         total = 0.0
         for n in order:
             ys, cache = forward(inputs[n], config, params)
@@ -202,25 +197,23 @@ def annotate(model: TaggerModel, document_text: str, doc_id: str = "") -> list[M
 #   last 32 bytes SHA-256 of everything before them
 
 
+_VOCABULARY_KEY = {"TRI": "trigrams", "DICT": "words", "EMB": "words"}
+
+
 def _encoder_header(encoder: TokenEncoder) -> dict:
-    if isinstance(encoder, TrigramEncoder):
-        return {"method": "TRI", "trigrams": encoder.vocab.trigram_list()}
-    if isinstance(encoder, DictEncoder):
-        return {"method": "DICT", "words": encoder.vocab.word_list()}
-    return {
-        "method": "EMB",
-        "words": encoder.table.words,
-        "dim": encoder.table.dim,
-    }
+    key = _VOCABULARY_KEY[encoder.method]
+    if encoder.method == "EMB":
+        return {"method": "EMB", key: encoder.table.words, "dim": encoder.table.dim}
+    return {"method": encoder.method, key: encoder.vocab.keys}
 
 
 def save_model(model: TaggerModel, path, meta: dict | None = None) -> None:
     """Write the model as a single self-contained checksummed binary file."""
     tensors = list(model.params.items())
-    if isinstance(model.encoder, EmbeddingEncoder):
+    if model.encoder.method == "EMB":
         tensors.insert(0, ("embedding.vectors", model.encoder.table.vectors))
     header = {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "encoder": _encoder_header(model.encoder),
         "flag_layout": list(FLAG_LAYOUT),
         "network": asdict(model.config),
@@ -237,8 +230,6 @@ def save_model(model: TaggerModel, path, meta: dict | None = None) -> None:
         fh.write(body)
         fh.write(hashlib.sha256(body).digest())
 
-
-_VOCABULARY_KEY = {"TRI": "trigrams", "DICT": "words", "EMB": "words"}
 
 # JSON types of the header's network section, one per NetworkConfig field.
 _NETWORK_TYPES = dict(variant=str, input_dim=int, dense_size=int, lstm_cells=int,
@@ -323,15 +314,13 @@ def load_model(path) -> TaggerModel:
         offset += data.nbytes
 
     encoder: TokenEncoder
-    if method == "TRI":
-        encoder = TrigramEncoder(TrigramVocabulary(vocabulary))
-    elif method == "DICT":
-        encoder = DictEncoder(WordVocabulary(vocabulary))
-    else:
+    if method == "EMB":
         encoder = EmbeddingEncoder(EmbeddingTable(vocabulary, vectors))
+    else:
+        encoder = LexicalEncoder(method, Vocabulary(vocabulary))
     if encoder.dim != config.input_dim:
         raise ValueError(
             f"{path}: encoder dimension {encoder.dim} does not match "
             f"network input_dim {config.input_dim}"
         )
-    return TaggerModel(encoder, config, params, format_version=version)
+    return TaggerModel(encoder, config, params)

@@ -23,12 +23,10 @@ from seqtag.corpus import (
     sample_split,
 )
 from seqtag.encoder import (
-    DictEncoder,
     EmbeddingEncoder,
     EmbeddingTable,
-    TrigramEncoder,
-    TrigramVocabulary,
-    WordVocabulary,
+    LexicalEncoder,
+    Vocabulary,
     write_embeddings_file,
 )
 from seqtag.evaluation import count_document, evaluate, micro_scores
@@ -212,8 +210,8 @@ def test_encoder_robustness_10000_pairs():
     for a, b in pairs:
         all_trigrams.update(extract_trigrams(a))
         all_trigrams.update(extract_trigrams(b))
-    vocab = TrigramVocabulary(all_trigrams)
-    enc = TrigramEncoder(vocab)
+    vocab = Vocabulary(all_trigrams)
+    enc = LexicalEncoder("TRI", vocab)
     n = vocab.size
     for a, b in pairs:
         case_variant = a.upper() if rng.random() < 0.5 else a.capitalize()
@@ -225,8 +223,8 @@ def test_encoder_robustness_10000_pairs():
 
 
 def test_encoder_unseen_word_zero_vectors():
-    word_vocab = WordVocabulary(["alpha", "beta"])
-    dict_vec = DictEncoder(word_vocab).encode("gamma")
+    word_vocab = Vocabulary(["alpha", "beta"])
+    dict_vec = LexicalEncoder("DICT", word_vocab).encode("gamma")
     assert not dict_vec[: word_vocab.size].any()
     table = EmbeddingTable(["alpha"], np.ones((1, 4)))
     emb_vec = EmbeddingEncoder(table).encode("gamma")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -68,6 +69,20 @@ def test_train_emb_without_embeddings_is_usage_error(tmp_path, bio_corpus_path, 
     assert "ERROR usage" in capsys.readouterr().err
 
 
+def test_train_rejects_report_flag(tmp_path, bio_corpus_path, capsys):
+    model_path = tmp_path / "m.stm"
+    with pytest.raises(SystemExit) as exc:
+        run(
+            [
+                "train", "--corpus", bio_corpus_path, "--model", str(model_path),
+                "--report", str(tmp_path / "report"),
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--report" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_missing_corpus_reports_io_error(tmp_path, capsys):
     code = run(
         ["train", "--corpus", str(tmp_path / "nope.bio"), "--model", str(tmp_path / "m")]
@@ -113,6 +128,35 @@ def test_annotate_output_is_standoff_round_trippable(tmp_path, trained_model_pat
         assert text[m["begin"] : m["end"]] == m["surface"]
     corpus = read_standoff(out)  # ignores mention-free extras like run_config
     assert corpus.documents[0].text == text
+
+
+# Standoff files that once ended in a traceback: (content, where the error is).
+MALFORMED_STANDOFF = {
+    "mention without end": ({"text": "Aspirin helps.", "mentions": [{"begin": 0}]},
+                            "record 0"),
+    "mention not an object": ({"text": "Aspirin helps.", "mentions": [5]}, "record 0"),
+    "text not a string": ({"text": 5}, "record 0"),
+    "documents not a list": ({"documents": 5}, "'documents'"),
+    "mentions not a list": ({"text": "Aspirin helps.", "mentions": 5}, "record 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STANDOFF))
+def test_malformed_standoff_is_invalid_input(tmp_path, trained_model_path, capsys, case):
+    content, where = MALFORMED_STANDOFF[case]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {where}")):
+        read_standoff(path)
+    code = run(
+        [
+            "evaluate", "--format", "standoff", "--corpus", str(path),
+            "--model", trained_model_path,
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid-input: ") and f"{path}: {where}" in err
 
 
 def test_evaluate_writes_agreeing_reports(tmp_path, bio_corpus_path, trained_model_path):

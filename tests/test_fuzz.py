@@ -1,0 +1,212 @@
+"""Bounded fuzz tests of the file readers.
+
+Every generated standoff file, BIO column file, embedding file and
+re-checksummed model header must either load or raise ValueError, which the
+CLI reports as ``ERROR invalid-input``; any other exception fails the test.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from seqtag.corpus import Sentence, Token, read_bio_column_file, read_standoff
+from seqtag.encoder import EmbeddingTable, load_embeddings
+from seqtag.synth import SynthConfig, synthetic_corpus
+from seqtag.tagger import TrainingConfig, load_model, predict, save_model, train
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 60)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+def file_content(text_strategy):
+    """File content: text from ``text_strategy``, or bytes that need not be UTF-8."""
+    return text_strategy | st.binary(max_size=40)
+
+
+def write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+
+
+def loads_or_value_error(read, path):
+    try:
+        return read(path)
+    except ValueError:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# standoff records
+
+_offsets = st.integers(-2, 45) | json_scalars
+_mention = (
+    st.fixed_dictionaries({}, optional={"begin": _offsets, "end": _offsets})
+    | json_scalars
+)
+_record = st.fixed_dictionaries(
+    {},
+    optional={
+        "doc_id": json_scalars,
+        "text": st.text(alphabet="aB1 .!?-\n'()", max_size=40) | json_values,
+        "mentions": st.lists(_mention, max_size=4) | json_values,
+    },
+) | json_values
+
+
+@st.composite
+def standoff_files(draw):
+    records = draw(st.lists(_record, max_size=3))
+    layout = draw(st.sampled_from(["array", "lines", "documents", "single"]))
+    if layout == "array":
+        return json.dumps(records)
+    if layout == "lines":
+        return "\n".join(json.dumps(r) for r in records)
+    if layout == "documents":
+        return json.dumps({"documents": draw(st.just(records) | json_values)})
+    return json.dumps(records[0] if records else draw(json_values))
+
+
+@FUZZ
+@given(content=standoff_files() | file_content(st.text(max_size=40)))
+def test_fuzz_standoff_loads_or_value_error(tmp_path, content):
+    path = tmp_path / "corpus.json"
+    write(path, content)
+    loads_or_value_error(read_standoff, path)
+
+
+# ---------------------------------------------------------------------------
+# BIO column lines
+
+_bio_field = st.sampled_from(["B", "I", "O", "-DOCSTART-", "", "Aspirin"]) | st.text(
+    max_size=6
+)
+_bio_files = st.lists(st.lists(_bio_field, max_size=3).map("\t".join), max_size=12).map(
+    "\n".join
+)
+
+
+@FUZZ
+@given(content=file_content(_bio_files))
+def test_fuzz_bio_lines_load_or_value_error(tmp_path, content):
+    path = tmp_path / "corpus.bio"
+    write(path, content)
+    loads_or_value_error(read_bio_column_file, path)
+
+
+# ---------------------------------------------------------------------------
+# embedding lines
+
+_number = (
+    st.floats().map(repr)
+    | st.integers().map(str)
+    | st.sampled_from(["1e999", "-0", "1_0", "0x1", "nan"])
+    | st.text(max_size=4)
+)
+_embedding_files = st.lists(
+    st.tuples(st.text(max_size=5), st.lists(_number, max_size=4)).map(
+        lambda row: " ".join([row[0], *row[1]])
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+@FUZZ
+@given(content=file_content(_embedding_files))
+def test_fuzz_embedding_lines_load_or_value_error(tmp_path, content):
+    path = tmp_path / "vectors.txt"
+    write(path, content)
+    loads_or_value_error(load_embeddings, path)
+
+
+# ---------------------------------------------------------------------------
+# model headers, re-checksummed after each mutation
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """(header, tensor bytes) of a small saved TRI, DICT and EMB model."""
+    sentences = synthetic_corpus(SynthConfig(n_sentences=4, seed=1)).sentences
+    words = sorted({tok.text for s in sentences for tok in s.tokens})
+    table = EmbeddingTable(words, np.linspace(-1, 1, 3 * len(words)).reshape(-1, 3))
+    out = []
+    for method in ("TRI", "DICT", "EMB"):
+        model = train(
+            sentences, method, "FF", TrainingConfig(epochs=1, log_every=0),
+            embeddings=table, dense_size=3, lstm_cells=2,
+        )
+        path = tmp_path_factory.mktemp("models") / f"{method}.stm"
+        save_model(model, path)
+        body = path.read_bytes()[:-32]
+        header_len = int.from_bytes(body[8:16], "little")
+        out.append((json.loads(body[16 : 16 + header_len]), body[16 + header_len :]))
+    return out
+
+
+def _nearby(value):
+    """Values a careless edit might leave in place of ``value``."""
+    if isinstance(value, bool):
+        return [not value, int(value)]
+    if isinstance(value, int):
+        return [value + 1, value - 1, 0, -value, value * 1000, float(value), str(value)]
+    if isinstance(value, float):
+        return [value * 2, -value, float("nan"), float("inf"), int(value)]
+    if isinstance(value, str):
+        return [value.upper(), value + "x", "", value[:-1]]
+    if isinstance(value, list):
+        return [value[::-1], value[:-1], value + value[-1:], []]
+    return [{}, list(value)]
+
+
+def mutate(data, value):
+    """Delete, duplicate or replace one node of a JSON tree."""
+    if isinstance(value, dict) and value and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(value)))
+        if data.draw(st.booleans()):
+            return {k: v for k, v in value.items() if k != key}
+        return {**value, key: mutate(data, value[key])}
+    if isinstance(value, list) and value and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(value) - 1))
+        action = data.draw(st.sampled_from(["descend", "delete", "duplicate"]))
+        if action == "delete":
+            return value[:i] + value[i + 1 :]
+        if action == "duplicate":
+            return value[: i + 1] + value[i:]
+        return value[:i] + [mutate(data, value[i])] + value[i + 1 :]
+    return data.draw(st.sampled_from(_nearby(value)) | json_values)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_model_header_loads_or_value_error(tmp_path, model_files, data):
+    header, tensors = data.draw(st.sampled_from(model_files))
+    header_bytes = json.dumps(mutate(data, header)).encode("utf-8")
+    body = b"SEQTAGM1" + len(header_bytes).to_bytes(8, "little") + header_bytes + tensors
+    path = tmp_path / "model.stm"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    model = loads_or_value_error(load_model, path)
+    if model is not None:
+        sentence = Sentence((Token("Aspirin", 0, 7), Token("helps", 8, 13)))
+        assert predict(model, sentence).distributions.shape == (2, 3)

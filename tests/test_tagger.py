@@ -213,7 +213,6 @@ def test_save_load_preserves_config(tmp_path, tiny_sentences):
     save_model(model, path, meta={"note": "fixture"})
     loaded = load_model(path)
     assert loaded.config == model.config
-    assert loaded.format_version == model.format_version
 
 
 def test_truncated_file_fails_checksum(tmp_path, tiny_sentences):
@@ -303,21 +302,28 @@ def test_crafted_header_is_invalid_input_naming_the_file(
     assert err.startswith("ERROR invalid-input: ") and str(path) in err
 
 
-def test_compat_fixture_predicts_recorded_distributions():
-    """The fixture model was written by the earlier per-tensor parameter code:
-    train(synthetic_corpus(SynthConfig(n_sentences=6, seed=4)).sentences,
-    "TRI", "BLSTM", TrainingConfig(epochs=3, seed=2), dense_size=8,
-    lstm_cells=3), saved without meta; the JSON file holds the distributions
-    that code predicted."""
-    recorded = json.loads((DATA / "compat_tri_blstm.json").read_text())
+# Model files written by earlier code, each next to the distributions that
+# code predicted.  Both were trained by
+# train(synthetic_corpus(SynthConfig(n_sentences=6, seed=4)).sentences,
+# METHOD, NETWORK, TrainingConfig(epochs=3, seed=2), dense_size=8,
+# lstm_cells=3) and saved without meta: TRI+BLSTM by the per-tensor
+# parameter code, DICT+FF by the code with one vocabulary and encoder class
+# per lexical method.
+COMPAT_FIXTURES = ("compat_tri_blstm", "compat_dict_ff")
+
+
+@pytest.mark.parametrize("fixture", COMPAT_FIXTURES)
+def test_compat_fixture_predicts_recorded_distributions(fixture):
+    recorded = json.loads((DATA / f"{fixture}.json").read_text())
     model = load_model(DATA / recorded["model"])
     for case in recorded["sentences"]:
         result = predict(model, make_sentence(case["words"]))
         assert result.distributions.tolist() == case["distributions"]
 
 
-def test_compat_fixture_resaves_byte_identical(tmp_path):
-    original = DATA / "compat_tri_blstm.stm"
+@pytest.mark.parametrize("fixture", COMPAT_FIXTURES)
+def test_compat_fixture_resaves_byte_identical(tmp_path, fixture):
+    original = DATA / f"{fixture}.stm"
     save_model(load_model(original), tmp_path / "resaved.stm")
     assert (tmp_path / "resaved.stm").read_bytes() == original.read_bytes()
 
