@@ -415,7 +415,7 @@ def read_standoff(path) -> Corpus:
         mentions = []
         for m in raw_mentions:
             try:
-                begin, end = int(m["begin"]), int(m["end"])
+                begin, end = _offset(m["begin"]), _offset(m["end"])
             except (KeyError, TypeError, ValueError, OverflowError):
                 raise ValueError(
                     f"{where}: mention {m!r} needs integer 'begin' and 'end'"
@@ -435,6 +435,16 @@ def read_standoff(path) -> Corpus:
             sentences.append(Sentence(tuple(tokens), tuple(labels)))
         documents.append(Document(doc_id, text, tuple(sentences), tuple(mentions)))
     return Corpus(tuple(documents))
+
+
+def _offset(value) -> int:
+    """A mention offset: an integer, an integral float or a numeric string.
+
+    ``int()`` alone would truncate 7.99 to 7 and read ``true`` as 1.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer offset: {value!r}")
+    return int(value)
 
 
 def _standoff_records(content: str, path) -> list:

@@ -10,6 +10,7 @@ encoding is a pure function and safe to use concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -146,9 +147,12 @@ def load_embeddings(path) -> EmbeddingTable:
                     f"expected {dim}"
                 )
             try:
-                rows.append([float(v) for v in values])
+                row = [float(v) for v in values]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric vector component")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite vector component")
+            rows.append(row)
             words.append(word)
     if not words:
         raise ValueError(f"{path}: no vectors")

@@ -2,9 +2,15 @@
 
 Parameters live in a ``Params`` mapping: named views into one flat float64
 buffer, keyed by ``"<layer>.<tensor>"``.  Initialized, loaded and gradient
-tensors all use this one type, so SGD is a single vector update.  Everything
-runs in double precision so analytic gradients can be verified against
-central finite differences.
+tensors all use this one type.  Everything runs in double precision so
+analytic gradients can be verified against central finite differences.
+
+Lexical inputs are sparse: a sentence lights a handful of the input layer's
+columns.  Backpropagation writes the input weight's gradient only in those
+columns and records them on the gradient buffer, and SGD updates those
+columns plus the rest of the buffer, so a training step costs O(active
+columns x dense_size) in the input layer, not O(input_dim x dense_size).
+The forward pass stays a dense product.
 
 The LSTM cell uses the nonstandard state update
 
@@ -103,6 +109,11 @@ class Params(Mapping):
     ``fused["<lstm>.wh"]`` and ``fused["<lstm>.b"]`` are ``(4*cells, ...)``
     views over all four gates.  Tensors are updated in place; entries cannot
     be replaced.
+
+    The first tensor is the network's input weight.  ``input_columns`` indexes
+    its last axis and covers every column that may be non-zero: all of them
+    (``slice(None)``) until ``backward_bptt`` records the columns a sentence
+    used.
     """
 
     def __init__(self, spec: list[tuple[str, tuple]]):
@@ -126,6 +137,7 @@ class Params(Mapping):
             if key not in views:
                 self.fused[key] = self.flat[start:offset].reshape(-1, *members[0][1][1:])
         self._views = {name: views[name] for name, _ in spec}
+        self.input_columns: slice | np.ndarray = slice(None)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -162,18 +174,31 @@ def zero_gradients(config: NetworkConfig) -> Params:
 # Layers
 
 
-def _dense_forward(params, prefix, xs, relu=True):
+def _dense_forward(params, prefix, xs):
     pre = xs @ params[f"{prefix}.w"].T + params[f"{prefix}.b"]
-    out = np.maximum(pre, 0.0) if relu else pre
-    cache = {"xs": xs, "pre": pre, "relu": relu}
-    return out, cache
+    return np.maximum(pre, 0.0), {"xs": xs, "pre": pre}
 
 
 def _dense_backward(params, prefix, cache, dout, grads):
-    dpre = dout * (cache["pre"] > 0) if cache["relu"] else dout
+    dpre = dout * (cache["pre"] > 0)
     grads[f"{prefix}.w"][...] = dpre.T @ cache["xs"]
     grads[f"{prefix}.b"][...] = dpre.sum(axis=0)
     return dpre @ params[f"{prefix}.w"]
+
+
+def _input_backward(prefix, cache, dout, grads):
+    """Gradients of the input layer, written only in the columns the sentence
+    uses; the columns the previous sentence wrote are zeroed first.  The
+    gradient w.r.t. the inputs is not computed: nothing reads it.
+    """
+    dpre = dout * (cache["pre"] > 0)
+    xs = cache["xs"]
+    cols = np.flatnonzero(xs.any(axis=0))
+    weight = grads[f"{prefix}.w"]
+    weight[:, grads.input_columns] = 0.0
+    weight[:, cols] = dpre.T @ xs[:, cols]
+    grads[f"{prefix}.b"][...] = dpre.sum(axis=0)
+    grads.input_columns = cols
 
 
 def lstm_forward(
@@ -345,7 +370,10 @@ def backward_bptt(
     The sentence is unrolled in full; no truncation.  Softmax and
     cross-entropy are fused, so dlogits = (y - onehot) / T.  Every tensor
     of ``grads`` receives exactly one contribution and is overwritten, so
-    one buffer from ``zero_gradients`` serves a whole training run.
+    one buffer from ``zero_gradients`` serves a whole training run.  The
+    input weight is the exception: only the columns the sentence uses are
+    written, the previously recorded ones are zeroed, and the new ones are
+    recorded in ``grads.input_columns``.
     """
     ys = cache["ys"]
     gold = np.asarray(gold)
@@ -365,25 +393,36 @@ def backward_bptt(
     if config.variant == "FF":
         d3 = _dense_backward(params, "dense3", cache["dense3"], dtop, grads)
         d2 = _dense_backward(params, "dense2", cache["dense2"], d3, grads)
-        _dense_backward(params, "dense1", cache["dense1"], d2, grads)
+        _input_backward("dense1", cache["dense1"], d2, grads)
     elif config.variant == "LSTM":
         dh1 = lstm_backward(params, "lstm2", cache["lstm2"], dtop, grads)
         dh0 = lstm_backward(params, "lstm1", cache["lstm1"], dh1, grads)
-        _dense_backward(params, "dense", cache["dense"], dh0, grads)
+        _input_backward("dense", cache["dense"], dh0, grads)
     else:  # BLSTM
         dboth = lstm_backward(params, "decoder", cache["decoder"], dtop, grads)
         cells = config.lstm_cells
         dh0 = lstm_backward(params, "fwd", cache["fwd"], dboth[:, :cells], grads)
         dh0 += lstm_backward(params, "bwd", cache["bwd"], dboth[:, cells:], grads)
-        _dense_backward(params, "dense", cache["dense"], dh0, grads)
+        _input_backward("dense", cache["dense"], dh0, grads)
     return grads
 
 
 def sgd_step(params: Params, grads: Params, learning_rate: float) -> Params:
-    """In-place p <- p - lr * g over the whole buffer; rejects non-finite gradients."""
-    if not np.isfinite(grads.flat.sum()):
+    """In-place p <- p - lr * g; rejects non-finite gradients.
+
+    Updates the input weight (the first tensor) in ``grads.input_columns``
+    and every later tensor, which follow it contiguously in the buffer.  The
+    input weight's gradient is zero elsewhere, so this equals the update of
+    the whole buffer.  The finiteness check covers exactly the updated
+    elements.
+    """
+    first = next(iter(grads))
+    cols, rest = grads.input_columns, grads[first].size
+    g_input, g_rest = grads[first][..., cols], grads.flat[rest:]
+    if not (np.isfinite(g_input.sum()) and np.isfinite(g_rest.sum())):
         raise ValueError(f"non-finite gradient in {_nonfinite_tensor(grads)}")
-    params.flat -= learning_rate * grads.flat
+    params[first][..., cols] -= learning_rate * g_input
+    params.flat[rest:] -= learning_rate * g_rest
     return params
 
 

@@ -138,6 +138,10 @@ MALFORMED_STANDOFF = {
     "text not a string": ({"text": 5}, "record 0"),
     "documents not a list": ({"documents": 5}, "'documents'"),
     "mentions not a list": ({"text": "Aspirin helps.", "mentions": 5}, "record 0"),
+    "fractional offsets": ({"text": "Aspirin helps.",
+                            "mentions": [{"begin": 0.9, "end": 7.99}]}, "record 0"),
+    "boolean offset": ({"text": "Aspirin helps.", "mentions": [{"begin": True, "end": 3}]},
+                       "record 0"),
 }
 
 
@@ -157,6 +161,24 @@ def test_malformed_standoff_is_invalid_input(tmp_path, trained_model_path, capsy
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ERROR invalid-input: ") and f"{path}: {where}" in err
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+def test_train_rejects_non_finite_embeddings(tmp_path, bio_corpus_path, capsys, component):
+    emb = tmp_path / "vecs.txt"
+    emb.write_text(f"aspirin 0.5 1.0\nhelps 0.25 {component}\n", encoding="utf-8")
+    code = run(
+        [
+            "train", "--corpus", bio_corpus_path, "--model", str(tmp_path / "m.stm"),
+            "--encoder", "EMB", "--network", "FF", "--epochs", "1",
+            "--embeddings", str(emb),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid-input: ")
+    assert f"{emb}:2: non-finite vector component" in err
+    assert not (tmp_path / "m.stm").exists()
 
 
 def test_evaluate_writes_agreeing_reports(tmp_path, bio_corpus_path, trained_model_path):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,6 +298,16 @@ def test_read_standoff_fig_fixture(tmp_path):
     assert doc.text[0:7] == "Aspirin"
     assert doc.gold_mentions == (MentionSpan(0, 7, "d1"),)
     assert doc.sentences[0].labels[0] == "B"
+
+
+def test_read_standoff_accepts_integral_offsets(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(
+        json.dumps({"doc_id": "d1", "text": FIG_SENTENCE,
+                    "mentions": [{"begin": 0.0, "end": "7"}]}),
+        encoding="utf-8",
+    )
+    assert read_standoff(path).documents[0].gold_mentions == (MentionSpan(0, 7, "d1"),)
 
 
 def test_read_standoff_rejects_out_of_bounds(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,14 @@ def test_load_embeddings_dimension_error_names_line(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("alpha 1 2 3\nbeta 1 2\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":2"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_embeddings_rejects_non_finite_component(tmp_path, component):
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"alpha 1 2\nbeta 3 {component}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: non-finite vector component$"):
         load_embeddings(path)
 
 

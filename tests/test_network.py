@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,22 @@ def numeric_gradients(xs, gold, config, params, eps=1e-6):
     return grads
 
 
+def assert_matches_numeric(analytic, numeric):
+    for name in analytic:
+        err = np.abs(analytic[name] - numeric[name])
+        scale = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric[name])), 1e-5)
+        assert float((err / scale).max()) < 1e-4, name
+
+
+def multi_hot(rng, length, input_dim, columns, per_token=2):
+    """(length, input_dim) lexical-style inputs: each token lights
+    ``per_token`` of ``columns``; every other column stays all-zero."""
+    xs = np.zeros((length, input_dim))
+    for row in xs:
+        row[rng.choice(columns, per_token, replace=False)] = 1.0
+    return xs
+
+
 @pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bptt_matches_finite_differences(variant, seed):
@@ -254,11 +271,23 @@ def test_bptt_matches_finite_differences(variant, seed):
     gold = rng.integers(0, 3, 4)
     _, cache = forward(xs, config, params)
     analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
-    numeric = numeric_gradients(xs, gold, config, params)
-    for name in analytic:
-        err = np.abs(analytic[name] - numeric[name])
-        scale = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric[name])), 1e-5)
-        assert float((err / scale).max()) < 1e-4, name
+    assert_matches_numeric(analytic, numeric_gradients(xs, gold, config, params))
+
+
+@pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
+def test_sparse_input_gradient_matches_finite_differences(variant):
+    config = NetworkConfig(variant, input_dim=9, dense_size=6, lstm_cells=3)
+    params = init_params(config, 2)
+    rng = np.random.default_rng(8)
+    xs = multi_hot(rng, 4, 9, np.arange(6))  # columns 6..8 stay all-zero
+    gold = rng.integers(0, 3, 4)
+    _, cache = forward(xs, config, params)
+    analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
+    assert_matches_numeric(analytic, numeric_gradients(xs, gold, config, params))
+    weight = analytic[next(iter(analytic))]
+    idle = ~xs.any(axis=0)
+    assert idle.sum() >= 3 and not weight[:, idle].any()
+    assert np.array_equal(analytic.input_columns, np.flatnonzero(~idle))
 
 
 @pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
@@ -276,6 +305,71 @@ def test_reused_gradient_buffer_matches_fresh_buffer(variant, lengths):
     fresh = zero_gradients(config)
     backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, fresh)
     assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
+def test_reused_buffer_with_disjoint_input_columns_matches_fresh(variant):
+    config = NetworkConfig(variant, input_dim=10, dense_size=6, lstm_cells=3)
+    params = init_params(config, 0)
+    rng = np.random.default_rng(6)
+    xs_a, xs_b = multi_hot(rng, 5, 10, np.arange(5)), multi_hot(rng, 3, 10, np.arange(5, 10))
+    gold_a, gold_b = rng.integers(0, 3, 5), rng.integers(0, 3, 3)
+    reused = zero_gradients(config)
+    backward_bptt(forward(xs_a, config, params)[1], gold_a, config, params, reused)
+    backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, reused)
+    fresh = zero_gradients(config)
+    backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, fresh)
+    assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
+def test_sgd_after_bptt_equals_dense_update(variant):
+    config = NetworkConfig(variant, input_dim=10, dense_size=6, lstm_cells=3)
+    params, grads = init_params(config, 1), zero_gradients(config)
+    rng = np.random.default_rng(7)
+    for columns in (np.arange(5), np.arange(4, 10)):
+        xs, gold = multi_hot(rng, 4, 10, columns), rng.integers(0, 3, 4)
+        backward_bptt(forward(xs, config, params)[1], gold, config, params, grads)
+        expected = params.flat - 0.05 * grads.flat
+        sgd_step(params, grads, 0.05)
+        assert params.flat.tobytes() == expected.tobytes()
+
+
+def test_sgd_rejects_nan_in_active_input_column():
+    config = NetworkConfig("BLSTM", input_dim=10, dense_size=6, lstm_cells=3)
+    params, grads = init_params(config, 1), zero_gradients(config)
+    rng = np.random.default_rng(7)
+    xs, gold = multi_hot(rng, 4, 10, np.arange(5)), rng.integers(0, 3, 4)
+    backward_bptt(forward(xs, config, params)[1], gold, config, params, grads)
+    grads["dense.w"][2, grads.input_columns[-1]] = np.nan
+    before = params.flat.copy()
+    with pytest.raises(ValueError, match=r"non-finite gradient in dense\.w"):
+        sgd_step(params, grads, 0.05)
+    assert params.flat.tobytes() == before.tobytes()
+
+
+def test_training_step_allocates_no_full_width_temporaries():
+    # Peak traced allocation of one backward_bptt + sgd_step on a wide, sparse
+    # sentence: a full-width gradient or update temporary is the size of
+    # dense.w (120 MB here), the sparse step needs a few hundred KB.
+    config = NetworkConfig("BLSTM", input_dim=100_000)
+    params = Params(param_spec(config))
+    rng = np.random.default_rng(0)
+    rng.random(out=params.flat)
+    params.flat -= 0.5
+    params.flat *= 0.1
+    grads = zero_gradients(config)
+    xs = multi_hot(rng, 7, config.input_dim, np.arange(config.input_dim), per_token=8)
+    gold = rng.integers(0, 3, 7)
+    _, cache = forward(xs, config, params)
+    tracemalloc.start()
+    try:
+        backward_bptt(cache, gold, config, params, grads)
+        sgd_step(params, grads, config.learning_rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * params["dense.w"].nbytes, peak
 
 
 def test_fused_views_share_the_per_gate_buffer():
