@@ -1,7 +1,8 @@
 """Token encoders: one lexical multi-hot code and pretrained embeddings.
 
-Every encoder produces a dense float vector per token, with four surface-form
-flag slots appended after the lexical part.  The lexical encoder turns a
+Every encoder fills one dense float row per token, with four surface-form
+flag slots appended after the lexical part; ``encode_sentence`` fills the
+rows of one preallocated sentence matrix.  The lexical encoder turns a
 token into vocabulary keys and sets the slot of each known key to 1.  TRI's
 keys are the token's letter trigrams (word hashing); DICT's one key is the
 lowercased token, so DICT is the one-key case of TRI.  EMB looks up a
@@ -167,7 +168,21 @@ def write_embeddings_file(path, words: list[str], vectors: np.ndarray) -> None:
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
-class EmbeddingEncoder:
+class TokenEncoder:
+    """Maps a token to a ``dim``-wide vector by filling one zeroed row."""
+
+    dim: int
+
+    def fill_row(self, token_text: str, row: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def encode(self, token_text: str) -> np.ndarray:
+        row = np.zeros(self.dim)
+        self.fill_row(token_text, row)
+        return row
+
+
+class EmbeddingEncoder(TokenEncoder):
     """Pretrained embedding lookup; unseen words map to the zero vector."""
 
     method = "EMB"
@@ -179,14 +194,12 @@ class EmbeddingEncoder:
     def dim(self) -> int:
         return self.table.dim + N_FLAGS
 
-    def encode(self, token_text: str) -> np.ndarray:
-        vec = np.zeros(self.dim)
-        vec[: self.table.dim] = self.table.lookup(token_text)
-        vec[self.table.dim :] = surface_flags(token_text).as_array()
-        return vec
+    def fill_row(self, token_text: str, row: np.ndarray) -> None:
+        row[: self.table.dim] = self.table.lookup(token_text)
+        row[self.table.dim :] = surface_flags(token_text).as_array()
 
 
-class LexicalEncoder:
+class LexicalEncoder(TokenEncoder):
     """Multi-hot encoding over a key vocabulary, slot values clipped to {0, 1}.
 
     A TRI token's keys are its letter trigrams; a DICT token's one key is its
@@ -203,17 +216,12 @@ class LexicalEncoder:
     def dim(self) -> int:
         return self.vocab.size + N_FLAGS
 
-    def encode(self, token_text: str) -> np.ndarray:
-        vec = np.zeros(self.dim)
+    def fill_row(self, token_text: str, row: np.ndarray) -> None:
         for key in _lexical_keys(self.method, token_text):
             i = self.vocab.index.get(key)
             if i is not None:
-                vec[i] = 1.0
-        vec[self.vocab.size :] = surface_flags(token_text).as_array()
-        return vec
-
-
-TokenEncoder = LexicalEncoder | EmbeddingEncoder
+                row[i] = 1.0
+        row[self.vocab.size :] = surface_flags(token_text).as_array()
 
 
 def build_encoder(
@@ -238,6 +246,7 @@ def build_encoder(
 
 def encode_sentence(encoder: TokenEncoder, sentence: Sentence) -> np.ndarray:
     """Encode a sentence as a (n_tokens, encoder.dim) float matrix."""
-    if not sentence.tokens:
-        return np.zeros((0, encoder.dim))
-    return np.stack([encoder.encode(tok.text) for tok in sentence.tokens])
+    xs = np.zeros((len(sentence.tokens), encoder.dim))
+    for tok, row in zip(sentence.tokens, xs):
+        encoder.fill_row(tok.text, row)
+    return xs

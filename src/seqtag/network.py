@@ -6,11 +6,12 @@ tensors all use this one type.  Everything runs in double precision so
 analytic gradients can be verified against central finite differences.
 
 Lexical inputs are sparse: a sentence lights a handful of the input layer's
-columns.  Backpropagation writes the input weight's gradient only in those
-columns and records them on the gradient buffer, and SGD updates those
-columns plus the rest of the buffer, so a training step costs O(active
-columns x dense_size) in the input layer, not O(input_dim x dense_size).
-The forward pass stays a dense product.
+columns.  The forward pass finds those columns once per sentence and
+multiplies only them; backpropagation writes the input weight's gradient
+only in those columns and records them on the gradient buffer, and SGD
+updates those columns plus the rest of the buffer.  So a sentence costs
+O(active columns x dense_size) in the input layer, not
+O(input_dim x dense_size).
 
 The LSTM cell uses the nonstandard state update
 
@@ -112,8 +113,8 @@ class Params(Mapping):
 
     The first tensor is the network's input weight.  ``input_columns`` indexes
     its last axis and covers every column that may be non-zero: all of them
-    (``slice(None)``) until ``backward_bptt`` records the columns a sentence
-    used.
+    (``slice(None)``) until ``backward_bptt`` records the columns the forward
+    pass found active in a sentence (the ``"cols"`` of its input-layer cache).
     """
 
     def __init__(self, spec: list[tuple[str, tuple]]):
@@ -186,17 +187,26 @@ def _dense_backward(params, prefix, cache, dout, grads):
     return dpre @ params[f"{prefix}.w"]
 
 
+def _input_forward(params, prefix, xs):
+    """The input layer on the columns the sentence uses: the columns where
+    ``xs`` is all-zero add nothing to the product, so they are not read.
+    """
+    cols = np.flatnonzero(xs.any(axis=0))
+    xs_cols = xs[:, cols]
+    pre = xs_cols @ params[f"{prefix}.w"][:, cols].T + params[f"{prefix}.b"]
+    return np.maximum(pre, 0.0), {"cols": cols, "xs_cols": xs_cols, "pre": pre}
+
+
 def _input_backward(prefix, cache, dout, grads):
-    """Gradients of the input layer, written only in the columns the sentence
-    uses; the columns the previous sentence wrote are zeroed first.  The
+    """Gradients of the input layer, written only in the columns the forward
+    pass used; the columns the previous sentence wrote are zeroed first.  The
     gradient w.r.t. the inputs is not computed: nothing reads it.
     """
     dpre = dout * (cache["pre"] > 0)
-    xs = cache["xs"]
-    cols = np.flatnonzero(xs.any(axis=0))
+    cols = cache["cols"]
     weight = grads[f"{prefix}.w"]
     weight[:, grads.input_columns] = 0.0
-    weight[:, cols] = dpre.T @ xs[:, cols]
+    weight[:, cols] = dpre.T @ cache["xs_cols"]
     grads[f"{prefix}.b"][...] = dpre.sum(axis=0)
     grads.input_columns = cols
 
@@ -321,23 +331,23 @@ def forward(
         raise ValueError(
             f"expected inputs of shape (T, {config.input_dim}), got {xs.shape}"
         )
-    cache: dict = {"xs": xs}
+    cache: dict = {}
     if xs.shape[0] == 0:
         cache["ys"] = np.zeros((0, config.n_classes))
         return cache["ys"], cache
 
     if config.variant == "FF":
-        h1, cache["dense1"] = _dense_forward(params, "dense1", xs)
+        h1, cache["dense1"] = _input_forward(params, "dense1", xs)
         h2, cache["dense2"] = _dense_forward(params, "dense2", h1)
         h3, cache["dense3"] = _dense_forward(params, "dense3", h2)
         top = h3
     elif config.variant == "LSTM":
-        h0, cache["dense"] = _dense_forward(params, "dense", xs)
+        h0, cache["dense"] = _input_forward(params, "dense", xs)
         h1, cache["lstm1"] = lstm_forward(params, "lstm1", h0)
         h2, cache["lstm2"] = lstm_forward(params, "lstm2", h1)
         top = h2
     else:  # BLSTM
-        h0, cache["dense"] = _dense_forward(params, "dense", xs)
+        h0, cache["dense"] = _input_forward(params, "dense", xs)
         h_fwd, cache["fwd"] = lstm_forward(params, "fwd", h0)
         h_bwd, cache["bwd"] = lstm_forward(params, "bwd", h0, reverse=True)
         both = np.concatenate([h_fwd, h_bwd], axis=1)
@@ -371,9 +381,9 @@ def backward_bptt(
     cross-entropy are fused, so dlogits = (y - onehot) / T.  Every tensor
     of ``grads`` receives exactly one contribution and is overwritten, so
     one buffer from ``zero_gradients`` serves a whole training run.  The
-    input weight is the exception: only the columns the sentence uses are
-    written, the previously recorded ones are zeroed, and the new ones are
-    recorded in ``grads.input_columns``.
+    input weight is the exception: only the columns ``forward`` found active
+    and cached are written, the previously recorded ones are zeroed, and the
+    new ones are recorded in ``grads.input_columns``.
     """
     ys = cache["ys"]
     gold = np.asarray(gold)

@@ -169,10 +169,17 @@ def test_build_encoder_validates():
 
 
 def test_encode_sentence_shape_and_empty():
-    enc = build_encoder("TRI", [sentence_of("ab", "cd")])
-    mat = encode_sentence(enc, sentence_of("ab", "xy"))
-    assert mat.shape == (2, enc.dim)
-    assert encode_sentence(enc, Sentence(())).shape == (0, enc.dim)
+    train = [sentence_of("ab", "Cd", "abc")]
+    table = EmbeddingTable(["ab", "cd"], [[0.5, -1.0, 2.25], [3.0, 0.0, -0.125]])
+    encoders = [build_encoder("TRI", train), build_encoder("DICT", train),
+                build_encoder("EMB", table=table)]
+    sentence = sentence_of("ab", "XY", "cd", "x", "Abcd", "ab")
+    for enc in encoders:
+        mat = encode_sentence(enc, sentence)
+        assert mat.shape == (6, enc.dim) and mat.dtype == np.float64
+        for tok, row in zip(sentence.tokens, mat):
+            assert row.tobytes() == enc.encode(tok.text).tobytes(), (enc.method, tok.text)
+        assert encode_sentence(enc, Sentence(())).shape == (0, enc.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,57 @@ def test_sparse_input_gradient_matches_finite_differences(variant):
     assert np.array_equal(analytic.input_columns, np.flatnonzero(~idle))
 
 
+def input_case(kind, rng, length=5, input_dim=10):
+    """Inputs of one kind: multi-hot rows over columns 0..5, the same with
+    two all-zero rows, a sentence without any non-zero slot, or dense
+    uniform rows as an embedding encoder gives."""
+    if kind == "dense":
+        return rng.uniform(-1, 1, (length, input_dim))
+    xs = multi_hot(rng, length, input_dim, np.arange(6))
+    if kind == "zero rows":
+        xs[[1, 3]] = 0.0
+    elif kind == "all zero":
+        xs[:] = 0.0
+    return xs
+
+
+def input_layer(config):
+    return "dense1" if config.variant == "FF" else "dense"
+
+
+@pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
+@pytest.mark.parametrize("kind", ["multi-hot", "zero rows", "all zero", "dense"])
+def test_input_layer_matches_full_product(variant, kind):
+    config = NetworkConfig(variant, input_dim=10, dense_size=6, lstm_cells=3)
+    params = init_params(config, 3)
+    rng = np.random.default_rng(9)
+    layer = input_layer(config)
+    params[f"{layer}.b"][:] = rng.uniform(-0.5, 0.5, 6)
+    xs, gold = input_case(kind, rng), rng.integers(0, 3, 5)
+    _, cache = forward(xs, config, params)
+    full = xs @ params[f"{layer}.w"].T + params[f"{layer}.b"]
+    np.testing.assert_allclose(cache[layer]["pre"], full, rtol=0, atol=1e-12)
+    assert np.array_equal(cache[layer]["cols"], np.flatnonzero(xs.any(axis=0)))
+    grads = zero_gradients(config)
+    backward_bptt(cache, gold, config, params, grads)
+    assert np.array_equal(grads.input_columns, cache[layer]["cols"])
+
+
+@pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
+@pytest.mark.parametrize("kind", ["multi-hot", "zero rows", "all zero"])
+def test_forward_reads_only_active_input_columns(variant, kind):
+    config = NetworkConfig(variant, input_dim=10, dense_size=6, lstm_cells=3)
+    params = init_params(config, 3)
+    xs = input_case(kind, np.random.default_rng(10))
+    clean, _ = forward(xs, config, params)
+    idle = ~xs.any(axis=0)
+    assert idle.sum() >= 4
+    params[f"{input_layer(config)}.w"][:, idle] = np.nan  # nan * 0 is nan
+    poisoned, _ = forward(xs, config, params)
+    assert np.isfinite(poisoned).all()
+    assert poisoned.tobytes() == clean.tobytes()
+
+
 @pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
 @pytest.mark.parametrize("lengths", [(5, 3), (4, 0), (0, 4)])
 def test_reused_gradient_buffer_matches_fresh_buffer(variant, lengths):

@@ -318,7 +318,11 @@ def test_compat_fixture_predicts_recorded_distributions(fixture):
     model = load_model(DATA / recorded["model"])
     for case in recorded["sentences"]:
         result = predict(model, make_sentence(case["words"]))
-        assert result.distributions.tolist() == case["distributions"]
+        expected = np.array(case["distributions"]).reshape(-1, len(LABELS))
+        assert result.labels == tuple(LABELS[i] for i in expected.argmax(axis=1))
+        # The input layer sums only the active columns, which rounds
+        # differently from the full-width product the fixture was written with.
+        np.testing.assert_allclose(result.distributions, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("fixture", COMPAT_FIXTURES)
