@@ -3,7 +3,8 @@ gradcheck, synth.
 
 Every artifact written by a command embeds the resolved run configuration
 and seed.  Exit codes: 0 on success, 2 on usage errors, 1 otherwise, with a
-one-line ``ERROR <category>: <message>`` on stderr.
+one-line ``ERROR <category>: <message>`` on stderr.  An empty test set and
+a ``compare-configs`` grid in which no configuration succeeds are errors.
 """
 from __future__ import annotations
 
@@ -165,14 +166,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not run.model:
         raise UsageError("--model path is required")
     model = load_model(run.model)
-    corpus = _read_corpus(run.corpus, run.format)
+    test_data = _read_corpus(run.corpus, run.format)
     if run.test_size is not None:
-        _, test_sentences = sample_split(
-            corpus, run.train_size or 0, run.test_size, run.seed
+        _, test_data = sample_split(
+            test_data, run.train_size or 0, run.test_size, run.seed
         )
-        report = evaluate(model, test_sentences, mode=run.mode)
-    else:
-        report = evaluate(model, corpus, mode=run.mode)
+    report = evaluate(model, test_data, mode=run.mode)
     report.config["run_config"] = run.to_dict()
     text = format_report(report)
     print(text)
@@ -221,17 +220,11 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
 
     print(f"{'encoder':<8} {'network':<8} {'prec':>8} {'rec':>8} {'f1':>8}  status")
     for row in rows:
-        if row["status"] == "ok":
-            print(
-                f"{row['encoder']:<8} {row['network']:<8} "
-                f"{row['precision']:>8.4f} {row['recall']:>8.4f} "
-                f"{row['f1']:>8.4f}  ok"
-            )
-        else:
-            print(
-                f"{row['encoder']:<8} {row['network']:<8} "
-                f"{'-':>8} {'-':>8} {'-':>8}  {row['status']}"
-            )
+        scores = " ".join(
+            f"{row[key]:>8.4f}" if key in row else f"{'-':>8}"
+            for key in ("precision", "recall", "f1")
+        )
+        print(f"{row['encoder']:<8} {row['network']:<8} {scores}  {row['status']}")
     if run.report:
         _write_json(
             run.report,
@@ -242,6 +235,8 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
                 "grid": rows,
             },
         )
+    if all(row["status"] != "ok" for row in rows):
+        raise ValueError("no configuration succeeded; see the grid's status column")
     return 0
 
 

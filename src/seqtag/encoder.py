@@ -12,8 +12,7 @@ encoding is a pure function and safe to use concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,9 +27,9 @@ N_FLAGS = len(FLAG_LAYOUT)
 TRIGRAM_BOUNDARY = "#"
 
 
-@dataclass(frozen=True)
-class SurfaceFlags:
-    """Capitalization pattern of a token.
+class SurfaceFlags(NamedTuple):
+    """Capitalization pattern of a token, in ``FLAG_LAYOUT`` order, so an
+    encoder writes it straight into a row's flag slots.
 
     The three case-class bits are mutually exclusive and judged over
     alphabetic characters only; a token whose sole uppercase letter is its
@@ -42,17 +41,6 @@ class SurfaceFlags:
     all_uppercase: bool
     all_lowercase: bool
     mixed_case: bool
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.initial_capital,
-                self.all_uppercase,
-                self.all_lowercase,
-                self.mixed_case,
-            ],
-            dtype=np.float64,
-        )
 
 
 def surface_flags(token_text: str) -> SurfaceFlags:
@@ -196,7 +184,7 @@ class EmbeddingEncoder(TokenEncoder):
 
     def fill_row(self, token_text: str, row: np.ndarray) -> None:
         row[: self.table.dim] = self.table.lookup(token_text)
-        row[self.table.dim :] = surface_flags(token_text).as_array()
+        row[-N_FLAGS:] = surface_flags(token_text)
 
 
 class LexicalEncoder(TokenEncoder):
@@ -221,7 +209,7 @@ class LexicalEncoder(TokenEncoder):
             i = self.vocab.index.get(key)
             if i is not None:
                 row[i] = 1.0
-        row[self.vocab.size :] = surface_flags(token_text).as_array()
+        row[-N_FLAGS:] = surface_flags(token_text)
 
 
 def build_encoder(

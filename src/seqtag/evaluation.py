@@ -12,15 +12,18 @@ from .tagger import TaggerModel, decode_spans, predict
 
 
 @dataclass(frozen=True)
-class SpanCounts:
-    """Span-level outcome counts for one document."""
+class Counts:
+    """True-positive, false-positive and false-negative counts: the span
+    outcomes of one scoring unit or the token outcomes of one BIO2 class.
+    Records add field by field, so ``sum(records, Counts())`` pools them.
+    """
 
     tp: int = 0
     fp: int = 0
     fn: int = 0
 
-    def __add__(self, other: "SpanCounts") -> "SpanCounts":
-        return SpanCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
+    def __add__(self, other: "Counts") -> "Counts":
+        return Counts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
 @dataclass(frozen=True)
@@ -33,17 +36,10 @@ class NerReport:
 
 
 @dataclass(frozen=True)
-class LabelCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-
-@dataclass(frozen=True)
 class BioReport:
     """Macro-averaged token-level BIO2 scores with per-class counts."""
 
-    per_class: dict[str, LabelCounts]
+    per_class: dict[str, Counts]
     macro_precision: float
     macro_recall: float
     macro_f1: float
@@ -55,7 +51,7 @@ class EvalReport:
 
     ner: NerReport | None = None
     bio: BioReport | None = None
-    per_document: list[tuple[str, SpanCounts]] = field(default_factory=list)
+    per_document: list[tuple[str, Counts]] = field(default_factory=list)
     config: dict = field(default_factory=dict)
 
 
@@ -74,7 +70,7 @@ def weak_match(p: MentionSpan, g: MentionSpan) -> bool:
     )
 
 
-def count_document(predicted, gold) -> SpanCounts:
+def count_document(predicted, gold) -> Counts:
     """Count weak-match outcomes between one document's span sets.
 
     A predicted span matching any gold span is one tp, matching none is one
@@ -87,7 +83,7 @@ def count_document(predicted, gold) -> SpanCounts:
     tp = sum(1 for p in predicted if any(weak_match(p, g) for g in gold))
     fp = len(predicted) - tp
     fn = sum(1 for g in gold if not any(weak_match(p, g) for p in predicted))
-    return SpanCounts(tp=tp, fp=fp, fn=fn)
+    return Counts(tp=tp, fp=fp, fn=fn)
 
 
 def micro_scores(counts) -> NerReport:
@@ -95,9 +91,7 @@ def micro_scores(counts) -> NerReport:
 
     Empty denominators score 0 by convention.
     """
-    total = SpanCounts()
-    for c in counts:
-        total = total + c
+    total = sum(counts, Counts())
     precision = total.tp / (total.tp + total.fp) if total.tp + total.fp else 0.0
     recall = total.tp / (total.tp + total.fn) if total.tp + total.fn else 0.0
     f1 = (
@@ -136,12 +130,12 @@ def macro_bio(predicted_seqs, gold_seqs) -> BioReport:
                 counts[p][1] += 1
                 counts[g][2] += 1
 
-    per_class: dict[str, LabelCounts] = {}
+    per_class: dict[str, Counts] = {}
     precisions = []
     recalls = []
     for label in LABELS:
         tp, fp, fn = counts[label]
-        per_class[label] = LabelCounts(tp, fp, fn)
+        per_class[label] = Counts(tp, fp, fn)
         absent_both = (tp + fp == 0) and (tp + fn == 0)
         precisions.append(1.0 if absent_both else (tp / (tp + fp) if tp + fp else 0.0))
         recalls.append(1.0 if absent_both else (tp / (tp + fn) if tp + fn else 0.0))
@@ -154,10 +148,14 @@ def macro_bio(predicted_seqs, gold_seqs) -> BioReport:
 def evaluate(model_or_annotations, test_data, mode: str = "both") -> EvalReport:
     """Score a model (or precomputed annotations) against gold data.
 
-    ``test_data`` is a Corpus (documents are the evaluation units) or a
-    list of gold-labeled sentences (each sentence is its own unit).
+    ``test_data`` becomes a list of ``(unit_id, sentences, gold_spans)``
+    scoring units, which one loop scores: a Corpus gives one unit per
+    document with its gold mentions, a list of gold-labeled sentences one
+    unit ``sentence{n}`` per sentence with the spans of its labels.
     Precomputed annotations are a {doc_id: [MentionSpan]} mapping and
-    require a Corpus.  ``mode`` selects span scores, BIO2 scores, or both.
+    require a Corpus.  ``mode`` selects span scores, BIO2 scores, or both;
+    spans are decoded only for span scores.  Test data without a sentence
+    is an error: it has nothing to score.
     """
     if mode not in ("span", "bio", "both"):
         raise ValueError(f"unknown mode {mode!r}; expected span, bio or both")
@@ -166,59 +164,43 @@ def evaluate(model_or_annotations, test_data, mode: str = "both") -> EvalReport:
 
     model = model_or_annotations if isinstance(model_or_annotations, TaggerModel) else None
     annotations = None if model is not None else model_or_annotations
-    if annotations is not None and not isinstance(test_data, Corpus):
-        raise ValueError("precomputed annotations require a Corpus of documents")
-
-    per_document: list[tuple[str, SpanCounts]] = []
-    predicted_seqs: list[list[str]] = []
-    gold_seqs: list[list[str]] = []
-
     if isinstance(test_data, Corpus):
-        for doc in test_data.documents:
-            doc_predicted: list[MentionSpan] = []
-            if annotations is not None:
-                doc_predicted = list(annotations.get(doc.doc_id, []))
-            for sentence in doc.sentences:
-                if model is not None:
-                    pred_labels = list(predict(model, sentence).labels)
-                    if want_span:
-                        doc_predicted.extend(
-                            decode_spans(sentence, pred_labels, doc.doc_id)
-                        )
-                elif want_bio:
-                    spans_here = [
-                        m for m in doc_predicted if _touches_sentence(m, sentence)
-                    ]
-                    pred_labels = mentions_to_bio2(sentence, spans_here)
-                else:
-                    continue
-                if want_bio:
-                    if sentence.labels is None:
-                        raise ValueError(
-                            f"{doc.doc_id}: sentence without gold labels "
-                            "(required for BIO2 scoring)"
-                        )
-                    predicted_seqs.append(pred_labels)
-                    gold_seqs.append(list(sentence.labels))
-            if want_span:
-                per_document.append(
-                    (doc.doc_id, count_document(doc_predicted, doc.gold_mentions))
-                )
+        units = [(d.doc_id, d.sentences, d.gold_mentions) for d in test_data.documents]
+    elif annotations is not None:
+        raise ValueError("precomputed annotations require a Corpus of documents")
     else:
-        sentences = list(test_data)
-        for n, sentence in enumerate(sentences):
+        units = []
+        for n, sentence in enumerate(test_data):
             if sentence.labels is None:
                 raise ValueError(f"test sentence {n} has no gold labels")
-            pred_labels = list(predict(model, sentence).labels)
-            if want_span:
-                gold_spans = decode_spans(sentence, sentence.labels)
-                pred_spans = decode_spans(sentence, pred_labels)
-                per_document.append(
-                    (f"sentence{n}", count_document(pred_spans, gold_spans))
-                )
+            gold = decode_spans(sentence, sentence.labels) if want_span else ()
+            units.append((f"sentence{n}", (sentence,), gold))
+    if not any(sentences for _, sentences, _ in units):
+        raise ValueError("the test data holds no sentence")
+
+    per_document: list[tuple[str, Counts]] = []
+    predicted_seqs: list[list[str]] = []
+    gold_seqs: list[list[str]] = []
+    for unit_id, sentences, gold_spans in units:
+        predicted = [] if model is not None else list(annotations.get(unit_id, []))
+        for sentence in sentences:
+            if model is not None:
+                pred_labels = list(predict(model, sentence).labels)
+                if want_span:
+                    predicted.extend(decode_spans(sentence, pred_labels, unit_id))
+            elif want_bio:
+                spans_here = [m for m in predicted if _touches_sentence(m, sentence)]
+                pred_labels = mentions_to_bio2(sentence, spans_here)
             if want_bio:
+                if sentence.labels is None:
+                    raise ValueError(
+                        f"{unit_id}: sentence without gold labels "
+                        "(required for BIO2 scoring)"
+                    )
                 predicted_seqs.append(pred_labels)
                 gold_seqs.append(list(sentence.labels))
+        if want_span:
+            per_document.append((unit_id, count_document(predicted, gold_spans)))
 
     report = EvalReport(config={"mode": mode})
     if want_span:
@@ -242,9 +224,7 @@ def format_report(report: EvalReport) -> str:
     """Render a report as a small human-readable table."""
     lines = []
     if report.ner is not None:
-        total = SpanCounts()
-        for _, c in report.per_document:
-            total = total + c
+        total = sum((c for _, c in report.per_document), Counts())
         lines.append("span-level weak match (micro average)")
         lines.append(
             f"  precision {report.ner.precision:.4f}  "

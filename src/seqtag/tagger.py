@@ -1,5 +1,5 @@
-"""Model lifecycle: training over sentence mini-batches, prediction, BIO2
-span decoding, and self-contained binary persistence."""
+"""Model lifecycle: training with one plain-SGD step per sentence,
+prediction, BIO2 span decoding, and self-contained binary persistence."""
 from __future__ import annotations
 
 import hashlib

@@ -207,6 +207,23 @@ def test_evaluate_heldout_sentences(tmp_path, bio_corpus_path, trained_model_pat
     assert code == 0
 
 
+@pytest.mark.parametrize("case", ["test-size-0", "empty-corpus"])
+def test_evaluate_empty_test_set_is_invalid_input(
+    tmp_path, bio_corpus_path, trained_model_path, capsys, case
+):
+    if case == "empty-corpus":
+        corpus = tmp_path / "empty.bio"
+        corpus.write_text("")
+        argv = ["--corpus", str(corpus)]
+    else:
+        argv = ["--corpus", bio_corpus_path, "--test-size", "0"]
+    code = run(["evaluate", "--model", trained_model_path, *argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR invalid-input: the test data holds no sentence\n"
+    assert "precision" not in captured.out
+
+
 def test_compare_configs_grid_has_nine_rows(tmp_path, bio_corpus_path):
     report = tmp_path / "grid.json"
     emb = tmp_path / "vectors.txt"
@@ -247,6 +264,27 @@ def test_compare_configs_emb_rows_fail_gracefully_without_table(
     assert len(emb_rows) == 3
     assert all("embeddings table required" in r["status"] for r in emb_rows)
     assert all(r["status"] == "ok" for r in grid if r["encoder"] != "EMB")
+
+
+def test_compare_configs_exits_1_when_every_configuration_fails(
+    tmp_path, bio_corpus_path, capsys
+):
+    report = tmp_path / "grid.json"
+    code = run(
+        [
+            "compare-configs", "--corpus", bio_corpus_path, "--epochs", "1",
+            "--train-size", "0", "--report", str(report),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("ERROR")] == [
+        "ERROR invalid-input: no configuration succeeded; see the grid's status column"
+    ]
+    grid = json.loads(report.read_text())["grid"]  # written before the error
+    assert len(grid) == 9
+    assert all(row["status"].startswith("error: ") for row in grid)
+    assert all("f1" not in row for row in grid)
 
 
 def test_gradcheck_passes_and_reports_blocks(tmp_path, capsys):

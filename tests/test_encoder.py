@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from seqtag.corpus import Sentence, Token
 from seqtag.encoder import (
+    FLAG_LAYOUT,
     N_FLAGS,
     EmbeddingEncoder,
     EmbeddingTable,
+    SurfaceFlags,
     Vocabulary,
     build_encoder,
     encode_sentence,
@@ -62,6 +64,15 @@ def test_flags_mixed_case():
 
 def test_flags_single_uppercase_letter():
     assert flags_tuple("A") == (True, True, False, False)
+
+
+def test_flag_slots_hold_surface_flags_in_layout_order():
+    assert SurfaceFlags._fields == FLAG_LAYOUT
+    words = ("McDonald", "CD15", "aspirin", ".")
+    encoder = build_encoder("TRI", [sentence_of(*words)])
+    for word in words:
+        flags = [float(bit) for bit in surface_flags(word)]
+        assert encoder.encode(word)[-N_FLAGS:].tolist() == flags
 
 
 @given(st.text(max_size=12))

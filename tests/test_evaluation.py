@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtag.corpus import Corpus, MentionSpan, document_from_rows
+from seqtag.corpus import Corpus, Document, MentionSpan, document_from_rows
+from seqtag.synth import SynthConfig, synthetic_corpus
+from seqtag.tagger import TrainingConfig, decode_spans, predict, train
 from seqtag.evaluation import (
     NerReport,
-    SpanCounts,
+    Counts,
     count_document,
     evaluate,
     format_report,
@@ -148,24 +150,24 @@ def test_count_one_prediction_covering_two_golds():
 
 
 def test_micro_balanced():
-    report = micro_scores([SpanCounts(tp=1, fp=1, fn=1)])
+    report = micro_scores([Counts(tp=1, fp=1, fn=1)])
     assert report.precision == report.recall == report.f1 == 0.5
 
 
 def test_micro_empty_counts_score_zero():
-    report = micro_scores([SpanCounts()])
+    report = micro_scores([Counts()])
     assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
 
 
 def test_micro_pools_documents():
-    report = micro_scores([SpanCounts(tp=2), SpanCounts(fp=1, fn=1)])
+    report = micro_scores([Counts(tp=2), Counts(fp=1, fn=1)])
     assert report.precision == pytest.approx(2 / 3)
     assert report.recall == pytest.approx(2 / 3)
     assert report.f1 == pytest.approx(2 / 3)
 
 
 def test_micro_f1_bounded_by_max():
-    report = micro_scores([SpanCounts(tp=3, fp=1, fn=2)])
+    report = micro_scores([Counts(tp=3, fp=1, fn=2)])
     assert report.f1 <= max(report.precision, report.recall) + 1e-12
 
 
@@ -299,3 +301,63 @@ def test_report_formats_agree():
     assert f"{payload['span']['f1']:.4f}" in text
     assert f"{payload['bio']['precision']:.4f}" in text
     assert payload["span"]["per_document"][0]["doc_id"] == "d0"
+
+
+@pytest.fixture(scope="module")
+def tagged_sentences():
+    """A small trained model and a Corpus of one-sentence held-out documents."""
+    corpus = synthetic_corpus(SynthConfig(n_sentences=30, seed=4, misspell_rate=0.1))
+    config = TrainingConfig(epochs=60, seed=1, log_every=0)
+    model = train(corpus.sentences[:20], "TRI", "FF", config)
+    held_out = Corpus(
+        tuple(
+            document_from_rows(
+                f"sentence{n}", [zip((t.text for t in s.tokens), s.labels)]
+            )
+            for n, s in enumerate(corpus.sentences[20:])
+        )
+    )
+    return model, held_out
+
+
+@pytest.mark.parametrize(
+    "test_data",
+    [Corpus(()), Corpus((Document("d0", "", ()),)), []],
+    ids=["no-document", "document-without-sentence", "no-sentence"],
+)
+@pytest.mark.parametrize("mode", ["span", "bio", "both"])
+def test_evaluate_rejects_test_data_without_sentences(
+    tagged_sentences, test_data, mode
+):
+    # An empty test set would otherwise score a perfect macro BIO2 F1.
+    model, _ = tagged_sentences
+    with pytest.raises(ValueError, match="holds no sentence"):
+        evaluate(model, test_data, mode=mode)
+    if isinstance(test_data, Corpus):
+        with pytest.raises(ValueError, match="holds no sentence"):
+            evaluate({}, test_data, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["span", "bio", "both"])
+def test_evaluate_sentence_list_equals_one_sentence_documents(tagged_sentences, mode):
+    model, held_out = tagged_sentences
+    by_sentence = evaluate(model, held_out.sentences, mode=mode)
+    by_document = evaluate(model, held_out, mode=mode)
+    assert by_sentence.ner == by_document.ner
+    assert by_sentence.bio == by_document.bio
+    assert by_sentence.per_document == by_document.per_document
+    if mode != "bio":
+        assert len(by_sentence.per_document) == len(held_out.documents)
+        total = sum((c for _, c in by_sentence.per_document), Counts())
+        assert total.tp > 0 and total.fp + total.fn > 0  # a non-trivial case
+
+
+def test_evaluate_model_equals_its_precomputed_annotations(tagged_sentences):
+    model, held_out = tagged_sentences
+    annotations = {
+        doc.doc_id: decode_spans(s, predict(model, s).labels, doc.doc_id)
+        for doc in held_out.documents
+        for s in doc.sentences
+    }
+    from_model = evaluate(model, held_out, mode="span")
+    assert evaluate(annotations, held_out, mode="span") == from_model
