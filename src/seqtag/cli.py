@@ -192,6 +192,8 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
     n_train = run.train_size if run.train_size is not None else available // 2
     n_test = run.test_size if run.test_size is not None else available - n_train
     train_sentences, test_sentences = sample_split(corpus, n_train, n_test, run.seed)
+    if not test_sentences:  # nothing could score the trained models
+        raise ValueError("the test data holds no sentence")
     table = load_embeddings(run.embeddings) if run.embeddings else None
 
     rows = []

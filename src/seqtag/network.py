@@ -18,7 +18,9 @@ The LSTM cell uses the nonstandard state update
     s_t = tanh(cand_t * in_gate_t + s_{t-1} * forget_t),  h_t = s_t * out_gate_t
 
 i.e. the nonlinearity wraps the state accumulation and the hidden output has
-no second squashing; this exact form is reproduced deliberately.
+no second squashing; this exact form is reproduced deliberately.  One LSTM
+direction keeps its gate values in a (T, 4*cells) activation block and its
+states in (T+1, cells) arrays whose first row is the zero initial state.
 """
 from __future__ import annotations
 
@@ -52,11 +54,6 @@ class NetworkConfig:
         for name in ("input_dim", "dense_size", "lstm_cells", "n_classes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 0.5 * (tanh(x/2) + 1) == 1 / (1 + exp(-x)), stable for any magnitude
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -218,97 +215,66 @@ def lstm_forward(
 
     Returns hidden states aligned with the original positions; with
     ``reverse=True`` the sequence is processed back to front and the states
-    re-reversed before returning.  Input projections for all four gates are
-    batched over the whole sequence; only the recurrent term runs per step.
+    re-reversed before returning.  The input projection is one product over
+    the sequence, with its gate columns and the gate rows of ``wh`` halved.
+    Each step adds the recurrent term to its row of the activation block
+    ``act`` (candidate, input, forget, output), runs one ``tanh`` over it in
+    place and maps the gate columns z to ``0.5 * z + 0.5``: this is
+    sigmoid(a) = 0.5 * tanh(a/2) + 0.5 bit for bit, as halving is exact.
+    ``state`` and ``hidden`` are (T+1, cells) with a zero first row, so a
+    step's previous values are the row above.
     """
     if reverse:
         xs = xs[::-1]
-    T = xs.shape[0]
-    wh_all = params.fused[f"{prefix}.wh"]
-    cells = wh_all.shape[1]
-
-    # (T, 4*cells): input projections of all four gates at once
-    pre_x = xs @ params.fused[f"{prefix}.wx"].T + params.fused[f"{prefix}.b"]
-    cand = np.zeros((T, cells))
-    gate_in = np.zeros((T, cells))
-    gate_forget = np.zeros((T, cells))
-    gate_out = np.zeros((T, cells))
-    state = np.zeros((T, cells))
-    state_prev = np.zeros((T, cells))
-    hidden_prev = np.zeros((T, cells))
-    hidden = np.zeros((T, cells))
-
-    h = np.zeros(cells)
-    s = np.zeros(cells)
+    T, cells = xs.shape[0], params.fused[f"{prefix}.wh"].shape[1]
+    half = np.where(np.arange(4 * cells) < cells, 1.0, 0.5)
+    wh = params.fused[f"{prefix}.wh"] * half[:, None]
+    act = (xs @ params.fused[f"{prefix}.wx"].T + params.fused[f"{prefix}.b"]) * half
+    state, hidden = np.zeros((T + 1, cells)), np.zeros((T + 1, cells))
     for t in range(T):
-        hidden_prev[t] = h
-        state_prev[t] = s
-        a = pre_x[t] + wh_all @ h
-        cand[t] = np.tanh(a[:cells])
-        gates = _sigmoid(a[cells:])
-        gate_in[t] = gates[:cells]
-        gate_forget[t] = gates[cells : 2 * cells]
-        gate_out[t] = gates[2 * cells :]
-        s = np.tanh(cand[t] * gate_in[t] + s * gate_forget[t])
-        h = s * gate_out[t]
-        state[t] = s
-        hidden[t] = h
+        a = act[t]
+        a += wh @ hidden[t]
+        np.tanh(a, out=a)
+        a[cells:] = 0.5 * a[cells:] + 0.5
+        cand, g_in, g_forget, g_out = a.reshape(4, cells)
+        np.tanh(cand * g_in + state[t] * g_forget, out=state[t + 1])
+        np.multiply(state[t + 1], g_out, out=hidden[t + 1])
 
-    cache = {
-        "xs": xs,
-        "cand": cand,
-        "gate_in": gate_in,
-        "gate_forget": gate_forget,
-        "gate_out": gate_out,
-        "state": state,
-        "state_prev": state_prev,
-        "hidden_prev": hidden_prev,
-        "reverse": reverse,
-    }
-    return (hidden[::-1] if reverse else hidden), cache
+    cache = {"xs": xs, "act": act, "state": state, "hidden": hidden, "reverse": reverse}
+    return (hidden[:0:-1] if reverse else hidden[1:]), cache
 
 
 def lstm_backward(params, prefix, cache, dhidden, grads):
     """Exact BPTT through one LSTM direction; returns gradient w.r.t. inputs.
 
-    Per-step work covers only the recurrent dependencies; weight gradients
-    are written afterwards, one sequence-level matrix product per fused block.
+    Block k of the pre-activation gradient is ``((x * partner) * gate) *
+    slope`` in the chain rule's order, x being the state-update gradient
+    (the hidden gradient for the output gate).  The factors are computed
+    first; per step run only the ``dh``/``ds`` chain and ``wh.T @ da``.
     """
     if cache["reverse"]:
         dhidden = dhidden[::-1]
-    xs = cache["xs"]
+    act, state = cache["act"], cache["state"]
     T, cells = dhidden.shape
-    wh_all = params.fused[f"{prefix}.wh"]
+    cand, g_in, g_forget, g_out = np.split(act, 4, axis=1)
+    partner = np.concatenate([g_in, cand, state[:-1], state[1:]], axis=1)
+    gate = np.concatenate([np.ones((T, cells)), act[:, cells:]], axis=1)
+    slope = np.concatenate([1.0 - cand * cand, 1.0 - act[:, cells:]], axis=1)
+    state_slope = 1.0 - state[1:] * state[1:]  # through the tanh state wrap
+    wh_t = params.fused[f"{prefix}.wh"].T
 
-    da_all = np.zeros((T, 4 * cells))
-    dh_next = np.zeros(cells)
-    ds_next = np.zeros(cells)
+    da_all = np.empty((T, 4 * cells))
+    dh_next, ds_next = np.zeros(cells), np.zeros(cells)
     for t in range(T - 1, -1, -1):
-        cand = cache["cand"][t]
-        g_in = cache["gate_in"][t]
-        g_forget = cache["gate_forget"][t]
-        g_out = cache["gate_out"][t]
-        s = cache["state"][t]
-        s_prev = cache["state_prev"][t]
-
         dh = dhidden[t] + dh_next
-        dgate_out = dh * s
-        ds = ds_next + dh * g_out
-        dupdate = ds * (1.0 - s * s)  # through the tanh state wrap
-        dcand = dupdate * g_in
-        dgate_in = dupdate * cand
-        dgate_forget = dupdate * s_prev
-        ds_next = dupdate * g_forget
+        dupdate = (ds_next + dh * g_out[t]) * state_slope[t]
+        ds_next = dupdate * g_forget[t]
+        x = np.concatenate([dupdate, dupdate, dupdate, dh])
+        da_all[t] = x * partner[t] * gate[t] * slope[t]
+        dh_next = wh_t @ da_all[t]
 
-        da = da_all[t]
-        da[:cells] = dcand * (1.0 - cand * cand)
-        da[cells : 2 * cells] = dgate_in * g_in * (1.0 - g_in)
-        da[2 * cells : 3 * cells] = dgate_forget * g_forget * (1.0 - g_forget)
-        da[3 * cells :] = dgate_out * g_out * (1.0 - g_out)
-        dh_next = wh_all.T @ da
-
-    grads.fused[f"{prefix}.wx"][...] = da_all.T @ xs
-    grads.fused[f"{prefix}.wh"][...] = da_all.T @ cache["hidden_prev"]
+    grads.fused[f"{prefix}.wx"][...] = da_all.T @ cache["xs"]
+    grads.fused[f"{prefix}.wh"][...] = da_all.T @ cache["hidden"][:-1]
     grads.fused[f"{prefix}.b"][...] = da_all.sum(axis=0)
     dxs = da_all @ params.fused[f"{prefix}.wx"]
     return dxs[::-1] if cache["reverse"] else dxs
@@ -485,8 +451,11 @@ def gradient_check(
     within 1e-4 of a kink are redrawn (central differences are invalid
     across the kink).  ``corruption`` is a negative-control knob: it is
     added to one analytic gradient entry so tests can confirm the check
-    fails when gradients are wrong.
+    fails when gradients are wrong.  A non-finite analytic or numeric entry
+    counts as an infinite error.  The tolerance must be positive and finite.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     eps = 1e-6
     for attempt in range(32):
         draw_seed = seed + 1000003 * attempt
@@ -504,11 +473,9 @@ def gradient_check(
         analytic[first].flat[0] += corruption
 
     per_block: dict[str, float] = {}
-    n_coords = 0
     for name in analytic:
         block_err = 0.0
-        flat = params[name].reshape(-1)
-        analytic_flat = analytic[name].reshape(-1)
+        flat, analytic_flat = params[name].reshape(-1), analytic[name].reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + eps
@@ -517,10 +484,12 @@ def gradient_check(
             down = loss(forward(xs, config, params)[0], gold)
             flat[j] = orig
             numeric = (up - down) / (2.0 * eps)
-            a = analytic_flat[j]
-            rel = float(abs(a - numeric) / max(abs(a), abs(numeric), 1e-5))
+            a = float(analytic_flat[j])
+            if math.isfinite(a) and math.isfinite(numeric):
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
+            else:
+                rel = math.inf
             block_err = max(block_err, rel)
-            n_coords += 1
         per_block[name] = block_err
 
     return GradientCheckReport(
@@ -528,7 +497,7 @@ def gradient_check(
         tolerance=tolerance,
         max_rel_error=max(per_block.values()),
         per_block=per_block,
-        n_coordinates=n_coords,
+        n_coordinates=analytic.flat.size,
     )
 
 

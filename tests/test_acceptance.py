@@ -89,7 +89,7 @@ def test_equation_fidelity_scalar_trace():
     hidden, cache = lstm_forward(params, "u", xs)
     for t, (s_exp, h_exp) in enumerate(SCALAR_TRACE):
         assert hidden[t, 0] == pytest.approx(h_exp, rel=1e-12)
-        assert cache["state"][t, 0] == pytest.approx(s_exp, rel=1e-12)
+        assert cache["state"][t + 1, 0] == pytest.approx(s_exp, rel=1e-12)
     report("equation fidelity", "3-step scalar trace to 12 significant digits")
 
 

@@ -287,6 +287,25 @@ def test_compare_configs_exits_1_when_every_configuration_fails(
     assert all("f1" not in row for row in grid)
 
 
+def test_compare_configs_rejects_empty_test_split_before_training(
+    tmp_path, bio_corpus_path, capsys, monkeypatch
+):
+    trainings = []
+    monkeypatch.setattr("seqtag.cli.train", lambda *a, **k: trainings.append(k))
+    report = tmp_path / "grid.json"
+    code = run(
+        [
+            "compare-configs", "--corpus", bio_corpus_path, "--epochs", "1",
+            "--test-size", "0", "--report", str(report),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR invalid-input: the test data holds no sentence\n"
+    assert captured.out == ""
+    assert trainings == [] and not report.exists()
+
+
 def test_gradcheck_passes_and_reports_blocks(tmp_path, capsys):
     report = tmp_path / "grad.json"
     code = run(["gradcheck", "--network", "FF", "--report", str(report)])
@@ -298,6 +317,18 @@ def test_gradcheck_passes_and_reports_blocks(tmp_path, capsys):
 
 
 def test_gradcheck_negative_control_fails(capsys):
-    code = run(["gradcheck", "--network", "FF", "--corruption", "0.1"])
+    for corruption in ("0.1", "nan", "inf"):
+        code = run(["gradcheck", "--network", "FF", "--corruption", corruption])
+        assert code == 1, corruption
+        assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "0", "inf"])
+def test_gradcheck_rejects_tolerance_that_cannot_pass(capsys, tolerance):
+    code = run(["gradcheck", "--network", "FF", "--tolerance", tolerance])
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"ERROR invalid-input: tolerance must be positive and finite, got {float(tolerance)}\n"
+    )
+    assert "FAIL" not in captured.out

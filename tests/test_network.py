@@ -12,6 +12,7 @@ from seqtag.network import (
     gradient_check,
     init_params,
     loss,
+    lstm_backward,
     lstm_forward,
     param_spec,
     sgd_step,
@@ -74,14 +75,14 @@ def test_lstm_forward_reproduces_scalar_trace():
     hidden, cache = lstm_forward(scalar_params(), "u", xs)
     for t in range(3):
         assert hidden[t, 0] == pytest.approx(EXPECTED_HIDDEN[t], rel=1e-12)
-        assert cache["state"][t, 0] == pytest.approx(EXPECTED_STATE[t], rel=1e-12)
+        assert cache["state"][t + 1, 0] == pytest.approx(EXPECTED_STATE[t], rel=1e-12)
 
 
 def test_lstm_zero_params_fixpoint():
     params = make_params({name: np.zeros_like(t) for name, t in scalar_params().items()})
     hidden, cache = lstm_forward(params, "u", np.random.default_rng(0).uniform(-1, 1, (4, 1)))
     assert np.all(hidden == 0.0)  # out gate 0.5, state tanh(0) = 0
-    assert np.allclose(cache["gate_out"], 0.5)
+    assert np.allclose(cache["act"][:, 3:], 0.5)  # output gate column
 
 
 def test_lstm_single_step_has_no_recurrence():
@@ -102,6 +103,100 @@ def test_lstm_backward_direction_realigns_states():
 
 
 # ---------------------------------------------------------------------------
+# the recurrence against a plain per-gate reference
+
+
+def reference_lstm_forward(params, prefix, xs, reverse=False):
+    """Step-by-step LSTM with one array per gate and explicit previous
+    states; the gates are 0.5 * (tanh(0.5 * a) + 1), the logistic sigmoid."""
+    if reverse:
+        xs = xs[::-1]
+    T = xs.shape[0]
+    wh_all = params.fused[f"{prefix}.wh"]
+    cells = wh_all.shape[1]
+    pre_x = xs @ params.fused[f"{prefix}.wx"].T + params.fused[f"{prefix}.b"]
+    cache = {key: np.zeros((T, cells)) for key in (
+        "cand", "gate_in", "gate_forget", "gate_out", "state", "state_prev",
+        "hidden_prev", "hidden")}
+    h = np.zeros(cells)
+    s = np.zeros(cells)
+    for t in range(T):
+        cache["hidden_prev"][t] = h
+        cache["state_prev"][t] = s
+        a = pre_x[t] + wh_all @ h
+        cand = cache["cand"][t] = np.tanh(a[:cells])
+        gates = 0.5 * (np.tanh(0.5 * a[cells:]) + 1.0)
+        g_in = cache["gate_in"][t] = gates[:cells]
+        g_forget = cache["gate_forget"][t] = gates[cells : 2 * cells]
+        g_out = cache["gate_out"][t] = gates[2 * cells :]
+        s = cache["state"][t] = np.tanh(cand * g_in + s * g_forget)
+        h = cache["hidden"][t] = s * g_out
+    cache.update(xs=xs, reverse=reverse)
+    hidden = cache["hidden"]
+    return (hidden[::-1] if reverse else hidden), cache
+
+
+def reference_lstm_backward(params, prefix, cache, dhidden, grads):
+    """Per-gate BPTT through ``reference_lstm_forward``."""
+    if cache["reverse"]:
+        dhidden = dhidden[::-1]
+    T, cells = dhidden.shape
+    wh_all = params.fused[f"{prefix}.wh"]
+    da_all = np.zeros((T, 4 * cells))
+    dh_next = np.zeros(cells)
+    ds_next = np.zeros(cells)
+    for t in range(T - 1, -1, -1):
+        cand, g_in = cache["cand"][t], cache["gate_in"][t]
+        g_forget, g_out = cache["gate_forget"][t], cache["gate_out"][t]
+        s, s_prev = cache["state"][t], cache["state_prev"][t]
+        dh = dhidden[t] + dh_next
+        dgate_out = dh * s
+        ds = ds_next + dh * g_out
+        dupdate = ds * (1.0 - s * s)
+        dcand = dupdate * g_in
+        dgate_in = dupdate * cand
+        dgate_forget = dupdate * s_prev
+        ds_next = dupdate * g_forget
+        da = da_all[t]
+        da[:cells] = dcand * (1.0 - cand * cand)
+        da[cells : 2 * cells] = dgate_in * g_in * (1.0 - g_in)
+        da[2 * cells : 3 * cells] = dgate_forget * g_forget * (1.0 - g_forget)
+        da[3 * cells :] = dgate_out * g_out * (1.0 - g_out)
+        dh_next = wh_all.T @ da
+    grads.fused[f"{prefix}.wx"][...] = da_all.T @ cache["xs"]
+    grads.fused[f"{prefix}.wh"][...] = da_all.T @ cache["hidden_prev"]
+    grads.fused[f"{prefix}.b"][...] = da_all.sum(axis=0)
+    dxs = da_all @ params.fused[f"{prefix}.wx"]
+    return dxs[::-1] if cache["reverse"] else dxs
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 30])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("prefix", ["fwd", "decoder"])  # input width 150, 2 * cells
+def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix):
+    config = NetworkConfig("BLSTM", input_dim=4, dense_size=150, lstm_cells=20)
+    params = init_params(config, length)
+    rng = np.random.default_rng(length + 50)
+    in_dim = params.fused[f"{prefix}.wx"].shape[1]
+    xs = rng.uniform(-2, 2, (length, in_dim))
+    dhidden = rng.normal(size=(length, 20))
+
+    hidden, cache = lstm_forward(params, prefix, xs, reverse)
+    ref_hidden, ref_cache = reference_lstm_forward(params, prefix, xs, reverse)
+    assert sorted(cache) == ["act", "hidden", "reverse", "state", "xs"]
+    assert np.array_equal(hidden, ref_hidden)
+    assert np.array_equal(cache["state"][1:], ref_cache["state"])
+
+    grads, ref_grads = zero_gradients(config), zero_gradients(config)
+    dxs = lstm_backward(params, prefix, cache, dhidden, grads)
+    ref_dxs = reference_lstm_backward(params, prefix, ref_cache, dhidden, ref_grads)
+    assert np.array_equal(dxs, ref_dxs)
+    for kind in ("wx", "wh", "b"):
+        key = f"{prefix}.{kind}"
+        assert np.array_equal(grads.fused[key], ref_grads.fused[key]), key
+
+
+# ---------------------------------------------------------------------------
 # gate ranges and softmax invariants
 
 
@@ -110,10 +205,11 @@ def test_gate_ranges():
     params = init_params(cfg, 5)
     xs = np.random.default_rng(7).uniform(-2, 2, (9, 8))
     _, cache = lstm_forward(params, "lstm1", xs)
-    for key in ("gate_in", "gate_forget", "gate_out"):
-        assert np.all((cache[key] > 0) & (cache[key] < 1))
-    assert np.all((cache["cand"] > -1) & (cache["cand"] < 1))
-    assert np.all((cache["state"] > -1) & (cache["state"] < 1))
+    cells = cfg.lstm_cells
+    gates, cand = cache["act"][:, cells:], cache["act"][:, :cells]
+    assert np.all((gates > 0) & (gates < 1))  # input, forget and output gates
+    assert np.all((cand > -1) & (cand < 1))
+    assert np.all((cache["state"][1:] > -1) & (cache["state"][1:] < 1))
 
 
 def test_softmax_rows_sum_to_one():
@@ -517,8 +613,9 @@ def test_gradient_check_passes(variant):
 
 def test_gradient_check_negative_control_fails():
     config = NetworkConfig("FF", input_dim=5, dense_size=6, lstm_cells=3)
-    report = gradient_check(config, seed=0, tolerance=1e-4, corruption=0.1)
-    assert not report.passed
+    for corruption in (0.1, math.nan, math.inf):
+        report = gradient_check(config, seed=0, tolerance=1e-4, corruption=corruption)
+        assert not report.passed, corruption
 
 
 def test_training_determinism_bit_exact():
