@@ -40,6 +40,7 @@ from .tagger import (
     decode_spans,
     load_model,
     predict,
+    predict_batch,
     save_model,
     train,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "mentions_to_bio2",
     "micro_scores",
     "predict",
+    "predict_batch",
     "read_bio_column_file",
     "read_standoff",
     "sample_split",

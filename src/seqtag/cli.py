@@ -2,9 +2,10 @@
 gradcheck, synth.
 
 Every artifact written by a command embeds the resolved run configuration
-and seed.  Exit codes: 0 on success, 2 on usage errors, 1 otherwise, with a
-one-line ``ERROR <category>: <message>`` on stderr.  An empty test set and
-a ``compare-configs`` grid in which no configuration succeeds are errors.
+and seed, with the encoder and network of a loaded model.  Exit codes: 0 on
+success, 2 on usage errors, 1 otherwise, with a one-line ``ERROR
+<category>: <message>`` on stderr.  An empty test set, a ``compare-configs``
+grid in which no configuration succeeds and a negative ``--seed`` are errors.
 """
 from __future__ import annotations
 
@@ -62,9 +63,13 @@ def _read_corpus(path: str, fmt: str) -> Corpus:
     raise UsageError(f"unknown corpus format {fmt!r}; expected bio or standoff")
 
 
-def _run_config(args: argparse.Namespace, command: str) -> RunConfig:
+def _run_config(args: argparse.Namespace, command: str, model=None) -> RunConfig:
     fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
     values = {k: v for k, v in vars(args).items() if k in fields}
+    if values.get("seed", 0) < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {values['seed']}")
+    if model is not None:
+        values.update(encoder=model.encoder.method, network=model.config.variant)
     return RunConfig(command=command, **values)
 
 
@@ -120,18 +125,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    run = _run_config(args, "annotate")
-    if not run.model:
+    if not args.model:
         raise UsageError("--model path is required")
-    model = load_model(run.model)
+    model = load_model(args.model)
+    run = _run_config(args, "annotate", model)
     if args.text is not None:
         docs = [("doc0", args.text)]
     elif args.input:
-        texts = []
+        docs = []
         for n, path in enumerate(args.input):
             with open(path, encoding="utf-8") as fh:
-                texts.append((f"doc{n}", fh.read()))
-        docs = texts
+                docs.append((f"doc{n}", fh.read()))
     else:
         raise UsageError("provide --text or --input FILE")
     records = []
@@ -162,10 +166,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    run = _run_config(args, "evaluate")
-    if not run.model:
+    if not args.model:
         raise UsageError("--model path is required")
-    model = load_model(run.model)
+    model = load_model(args.model)
+    run = _run_config(args, "evaluate", model)
     test_data = _read_corpus(run.corpus, run.format)
     if run.test_size is not None:
         _, test_data = sample_split(

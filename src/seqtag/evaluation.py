@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import LABELS, Corpus, MentionSpan, Sentence, mentions_to_bio2
-from .tagger import TaggerModel, decode_spans, predict
+from .tagger import TaggerModel, decode_spans, predict, predict_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,9 @@ def evaluate(model_or_annotations, test_data, mode: str = "both") -> EvalReport:
     document with its gold mentions, a list of gold-labeled sentences one
     unit ``sentence{n}`` per sentence with the spans of its labels.
     Precomputed annotations are a {doc_id: [MentionSpan]} mapping and
-    require a Corpus.  ``mode`` selects span scores, BIO2 scores, or both;
-    spans are decoded only for span scores.  Test data without a sentence
-    is an error: it has nothing to score.
+    require a Corpus; a model predicts all their sentences in one batched
+    call.  ``mode`` selects span scores, BIO2 scores, or both; spans are
+    decoded only for span scores.  Test data without a sentence is an error.
     """
     if mode not in ("span", "bio", "both"):
         raise ValueError(f"unknown mode {mode!r}; expected span, bio or both")
@@ -178,6 +178,8 @@ def evaluate(model_or_annotations, test_data, mode: str = "both") -> EvalReport:
     if not any(sentences for _, sentences, _ in units):
         raise ValueError("the test data holds no sentence")
 
+    if model is not None:
+        results = iter(predict_batch(model, [s for _, ss, _ in units for s in ss]))
     per_document: list[tuple[str, Counts]] = []
     predicted_seqs: list[list[str]] = []
     gold_seqs: list[list[str]] = []
@@ -185,7 +187,7 @@ def evaluate(model_or_annotations, test_data, mode: str = "both") -> EvalReport:
         predicted = [] if model is not None else list(annotations.get(unit_id, []))
         for sentence in sentences:
             if model is not None:
-                pred_labels = list(predict(model, sentence).labels)
+                pred_labels = list(next(results).labels)
                 if want_span:
                     predicted.extend(decode_spans(sentence, pred_labels, unit_id))
             elif want_bio:

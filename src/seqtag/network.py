@@ -19,8 +19,9 @@ The LSTM cell uses the nonstandard state update
 
 i.e. the nonlinearity wraps the state accumulation and the hidden output has
 no second squashing; this exact form is reproduced deliberately.  One LSTM
-direction keeps its gate values in a (T, 4*cells) activation block and its
-states in (T+1, cells) arrays whose first row is the zero initial state.
+direction keeps its gate values in a (T, ..., 4*cells) activation block and
+its states in (T+1, ..., cells) arrays whose first row is zero.  Training
+runs one sentence at a time; inference runs B of one length as (T, B, ...).
 """
 from __future__ import annotations
 
@@ -188,6 +189,9 @@ def _input_forward(params, prefix, xs):
     """The input layer on the columns the sentence uses: the columns where
     ``xs`` is all-zero add nothing to the product, so they are not read.
     """
+    xs, width = np.asarray(xs, dtype=np.float64), params[f"{prefix}.w"].shape[1]
+    if xs.ndim != 2 or xs.shape[1] != width:
+        raise ValueError(f"expected inputs of shape (T, {width}), got {xs.shape}")
     cols = np.flatnonzero(xs.any(axis=0))
     xs_cols = xs[:, cols]
     pre = xs_cols @ params[f"{prefix}.w"][:, cols].T + params[f"{prefix}.b"]
@@ -211,8 +215,10 @@ def _input_backward(prefix, cache, dout, grads):
 def lstm_forward(
     params: Params, prefix: str, xs: np.ndarray, reverse: bool = False
 ) -> tuple[np.ndarray, dict]:
-    """Run one LSTM direction over a (T, in_dim) sequence.
+    """Run one LSTM direction over a (T, ..., in_dim) sequence.
 
+    A (T, in_dim) sentence and a (T, B, in_dim) batch of B sentences of one
+    length run the same lines; no sentence reads another's values.
     Returns hidden states aligned with the original positions; with
     ``reverse=True`` the sequence is processed back to front and the states
     re-reversed before returning.  The input projection is one product over
@@ -221,24 +227,25 @@ def lstm_forward(
     ``act`` (candidate, input, forget, output), runs one ``tanh`` over it in
     place and maps the gate columns z to ``0.5 * z + 0.5``: this is
     sigmoid(a) = 0.5 * tanh(a/2) + 0.5 bit for bit, as halving is exact.
-    ``state`` and ``hidden`` are (T+1, cells) with a zero first row, so a
-    step's previous values are the row above.
+    ``state`` and ``hidden`` are (T+1, ..., cells) with a zero first row, so
+    a step's previous values are the row above.
     """
     if reverse:
         xs = xs[::-1]
     T, cells = xs.shape[0], params.fused[f"{prefix}.wh"].shape[1]
     half = np.where(np.arange(4 * cells) < cells, 1.0, 0.5)
-    wh = params.fused[f"{prefix}.wh"] * half[:, None]
+    # A transposed view: for one sentence, h @ wh_t is the BLAS call of wh @ h.
+    wh_t = (params.fused[f"{prefix}.wh"] * half[:, None]).T
     act = (xs @ params.fused[f"{prefix}.wx"].T + params.fused[f"{prefix}.b"]) * half
-    state, hidden = np.zeros((T + 1, cells)), np.zeros((T + 1, cells))
+    cand, g_in, g_forget, g_out = (act[..., k * cells : (k + 1) * cells] for k in range(4))
+    state, hidden = np.zeros((2, T + 1, *xs.shape[1:-1], cells))
     for t in range(T):
         a = act[t]
-        a += wh @ hidden[t]
+        a += hidden[t] @ wh_t
         np.tanh(a, out=a)
-        a[cells:] = 0.5 * a[cells:] + 0.5
-        cand, g_in, g_forget, g_out = a.reshape(4, cells)
-        np.tanh(cand * g_in + state[t] * g_forget, out=state[t + 1])
-        np.multiply(state[t + 1], g_out, out=hidden[t + 1])
+        a[..., cells:] = 0.5 * a[..., cells:] + 0.5
+        np.tanh(cand[t] * g_in[t] + state[t] * g_forget[t], out=state[t + 1])
+        np.multiply(state[t + 1], g_out[t], out=hidden[t + 1])
 
     cache = {"xs": xs, "act": act, "state": state, "hidden": hidden, "reverse": reverse}
     return (hidden[:0:-1] if reverse else hidden[1:]), cache
@@ -292,39 +299,35 @@ def forward(
     Returns per-token class distributions (T, n_classes) and the activation
     cache needed by backward_bptt.  An empty sentence yields empty outputs.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != config.input_dim:
-        raise ValueError(
-            f"expected inputs of shape (T, {config.input_dim}), got {xs.shape}"
-        )
-    cache: dict = {}
-    if xs.shape[0] == 0:
-        cache["ys"] = np.zeros((0, config.n_classes))
-        return cache["ys"], cache
+    first = "dense1" if config.variant == "FF" else "dense"
+    h, input_cache = _input_forward(params, first, xs)
+    return _upper_forward(h, config, params, {first: input_cache})
 
+
+def forward_batch(sentences, config: NetworkConfig, params: Params) -> np.ndarray:
+    """Class distributions (T, B, n_classes) of B sentences of one length T.  The
+    input layer reads the (T, input_dim) matrices ``sentences`` yields one at a time."""
+    first = "dense1" if config.variant == "FF" else "dense"
+    h = np.stack([_input_forward(params, first, xs)[0] for xs in sentences], axis=1)
+    return _upper_forward(h, config, params, {})[0]
+
+
+def _upper_forward(h, config: NetworkConfig, params: Params, cache: dict):
+    """The layers above the input layer, on its (T, ..., dense_size) output."""
     if config.variant == "FF":
-        h1, cache["dense1"] = _input_forward(params, "dense1", xs)
-        h2, cache["dense2"] = _dense_forward(params, "dense2", h1)
-        h3, cache["dense3"] = _dense_forward(params, "dense3", h2)
-        top = h3
+        h2, cache["dense2"] = _dense_forward(params, "dense2", h)
+        top, cache["dense3"] = _dense_forward(params, "dense3", h2)
     elif config.variant == "LSTM":
-        h0, cache["dense"] = _input_forward(params, "dense", xs)
-        h1, cache["lstm1"] = lstm_forward(params, "lstm1", h0)
-        h2, cache["lstm2"] = lstm_forward(params, "lstm2", h1)
-        top = h2
+        h1, cache["lstm1"] = lstm_forward(params, "lstm1", h)
+        top, cache["lstm2"] = lstm_forward(params, "lstm2", h1)
     else:  # BLSTM
-        h0, cache["dense"] = _input_forward(params, "dense", xs)
-        h_fwd, cache["fwd"] = lstm_forward(params, "fwd", h0)
-        h_bwd, cache["bwd"] = lstm_forward(params, "bwd", h0, reverse=True)
-        both = np.concatenate([h_fwd, h_bwd], axis=1)
-        h_dec, cache["decoder"] = lstm_forward(params, "decoder", both)
-        top = h_dec
-
-    logits = top @ params["out.w"].T + params["out.b"]
-    ys = softmax_rows(logits)
+        h_fwd, cache["fwd"] = lstm_forward(params, "fwd", h)
+        h_bwd, cache["bwd"] = lstm_forward(params, "bwd", h, reverse=True)
+        both = np.concatenate([h_fwd, h_bwd], axis=-1)
+        top, cache["decoder"] = lstm_forward(params, "decoder", both)
     cache["top"] = top
-    cache["ys"] = ys
-    return ys, cache
+    cache["ys"] = softmax_rows(top @ params["out.w"].T + params["out.b"])
+    return cache["ys"], cache
 
 
 def loss(ys: np.ndarray, gold: np.ndarray) -> float:

@@ -30,6 +30,7 @@ from .network import (
     Params,
     backward_bptt,
     forward,
+    forward_batch,
     init_params,
     loss,
     param_spec,
@@ -148,15 +149,28 @@ def train(
 
 
 def predict(model: TaggerModel, sentence: Sentence) -> PredictionResult:
-    """Predict per-token label distributions and argmax labels.
+    """Predict one sentence: the one-sentence case of ``predict_batch``."""
+    return predict_batch(model, [sentence])[0]
 
-    Pure function of (model, sentence); argmax ties resolve to the first
-    class in B < I < O order.
-    """
-    xs = encode_sentence(model.encoder, sentence)
-    ys, _ = forward(xs, model.config, model.params)
-    labels = tuple(LABELS[i] for i in np.argmax(ys, axis=1)) if len(ys) else ()
-    return PredictionResult(labels, ys)
+
+def predict_batch(model: TaggerModel, sentences: list) -> list[PredictionResult]:
+    """Pure per-token distributions and argmax labels of each sentence, in input
+    order; the sentences of one token count run through the network as one
+    batch.  Argmax ties resolve to the first class in B < I < O order."""
+    groups: dict[int, list[int]] = {}
+    for n, sentence in enumerate(sentences):
+        groups.setdefault(len(sentence.tokens), []).append(n)
+    results: list = [None] * len(sentences)
+    for members in groups.values():
+        inputs = (encode_sentence(model.encoder, sentences[n]) for n in members)
+        if len(members) == 1:  # a sentence alone runs unbatched, as in training
+            ys = forward(next(inputs), model.config, model.params)[0][:, None]
+        else:
+            ys = forward_batch(inputs, model.config, model.params)
+        best = np.argmax(ys, axis=-1)
+        for b, n in enumerate(members):
+            results[n] = PredictionResult(tuple(LABELS[i] for i in best[:, b]), ys[:, b])
+    return results
 
 
 def decode_spans(sentence: Sentence, labels, doc_id: str = "") -> list[MentionSpan]:
@@ -175,11 +189,11 @@ def decode_spans(sentence: Sentence, labels, doc_id: str = "") -> list[MentionSp
 
 
 def annotate(model: TaggerModel, document_text: str, doc_id: str = "") -> list[MentionSpan]:
-    """Detect mentions in raw text: split, tokenize, predict, decode."""
+    """Detect mentions in raw text: split, tokenize, predict as one batch, decode."""
+    bounds = split_sentences(document_text)
+    sentences = [Sentence(tuple(tokenize(document_text[b:e], b))) for b, e in bounds]
     spans: list[MentionSpan] = []
-    for begin, end in split_sentences(document_text):
-        sentence = Sentence(tuple(tokenize(document_text[begin:end], begin)))
-        result = predict(model, sentence)
+    for sentence, result in zip(sentences, predict_batch(model, sentences)):
         spans.extend(decode_spans(sentence, result.labels, doc_id))
     return spans
 

@@ -1,9 +1,11 @@
+import argparse
 import json
+import pathlib
 import re
 
 import pytest
 
-from seqtag.cli import main
+from seqtag.cli import build_parser, main
 from seqtag.corpus import read_bio_column_file, read_standoff, write_bio_column_file
 from seqtag.encoder import write_embeddings_file
 from seqtag.synth import SynthConfig, synthetic_corpus
@@ -15,6 +17,9 @@ def bio_corpus_path(tmp_path_factory):
     corpus = synthetic_corpus(SynthConfig(n_sentences=24, seed=9, misspell_rate=0.0))
     write_bio_column_file(corpus, path)
     return str(path)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -332,3 +337,63 @@ def test_gradcheck_rejects_tolerance_that_cannot_pass(capsys, tolerance):
         f"ERROR invalid-input: tolerance must be positive and finite, got {float(tolerance)}\n"
     )
     assert "FAIL" not in captured.out
+
+
+# Arguments besides --seed that each seeded subcommand needs to start work.
+SEEDED_COMMANDS = {
+    "train": ["--corpus", "{corpus}", "--model", "{out}"],
+    "evaluate": ["--corpus", "{corpus}", "--model", "{model}", "--report", "{out}"],
+    "compare-configs": ["--corpus", "{corpus}", "--report", "{out}"],
+    "gradcheck": ["--report", "{out}"],
+    "synth": ["--out", "{out}"],
+}
+
+
+def test_seeded_commands_are_every_subcommand_with_a_seed_flag():
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    seeded = {
+        name for name, p in subparsers.choices.items()
+        if "--seed" in p._option_string_actions
+    }
+    assert seeded == set(SEEDED_COMMANDS)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_negative_seed_is_invalid_input_naming_the_flag(
+    tmp_path, bio_corpus_path, trained_model_path, capsys, command, seed
+):
+    out = tmp_path / "out"
+    argv = [
+        a.format(corpus=bio_corpus_path, model=trained_model_path, out=out)
+        for a in SEEDED_COMMANDS[command]
+    ]
+    assert run([command, *argv, "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"ERROR invalid-input: --seed must be a non-negative integer, got {seed}\n"
+    )
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "out.json").exists()
+
+
+def test_annotate_and_evaluate_record_the_loaded_model(tmp_path, bio_corpus_path):
+    model = str(DATA / "compat_dict_ff.stm")
+    annotations, report = tmp_path / "annotations.json", tmp_path / "report"
+    text = "Patients received treatment daily."
+    assert run(["annotate", "--model", model, "--text", text, "--out", str(annotations)]) == 0
+    assert run(
+        ["evaluate", "--corpus", bio_corpus_path, "--model", model, "--report", str(report)]
+    ) == 0
+    run_configs = [
+        json.loads(annotations.read_text())["run_config"],
+        json.loads((tmp_path / "report.json").read_text())["config"]["run_config"],
+        json.loads(
+            (tmp_path / "report.txt").read_text().split("# run_config: ")[1]
+        ),
+    ]
+    for run_config in run_configs:
+        assert (run_config["encoder"], run_config["network"]) == ("DICT", "FF")

@@ -1,21 +1,31 @@
-"""Bounded fuzz tests of the file readers.
+"""Bounded fuzz tests of the file readers and of grouped prediction.
 
 Every generated standoff file, BIO column file, embedding file and
 re-checksummed model header must either load or raise ValueError, which the
 CLI reports as ``ERROR invalid-input``; any other exception fails the test.
+Every generated sentence list must predict the same in groups as one
+sentence at a time.
 """
 import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqtag.corpus import Sentence, Token, read_bio_column_file, read_standoff
 from seqtag.encoder import EmbeddingTable, load_embeddings
+from seqtag.network import VARIANTS
 from seqtag.synth import SynthConfig, synthetic_corpus
-from seqtag.tagger import TrainingConfig, load_model, predict, save_model, train
+from seqtag.tagger import (
+    TrainingConfig,
+    load_model,
+    predict,
+    predict_batch,
+    save_model,
+    train,
+)
 
 FUZZ = settings(
     max_examples=150,
@@ -210,3 +220,53 @@ def test_fuzz_model_header_loads_or_value_error(tmp_path, model_files, data):
     if model is not None:
         sentence = Sentence((Token("Aspirin", 0, 7), Token("helps", 8, 13)))
         assert predict(model, sentence).distributions.shape == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# grouped prediction
+
+
+@pytest.fixture(scope="module")
+def variant_models():
+    """A small trained TRI model per network variant."""
+    sentences = synthetic_corpus(SynthConfig(n_sentences=6, seed=2)).sentences
+    return {
+        variant: train(
+            sentences, "TRI", variant, TrainingConfig(epochs=2, seed=1, log_every=0),
+            dense_size=8, lstm_cells=3,
+        )
+        for variant in VARIANTS
+    }
+
+
+_words = st.sampled_from(["Aspirin", "helps", "the", "PATIENT", "ibuprofen", "mAb", "3", "-"])
+# Lengths come from a small pool, so that most lists repeat a length.
+_sentence_lists = st.lists(st.integers(0, 12), min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(
+        st.sampled_from(pool).flatmap(lambda n: st.lists(_words, min_size=n, max_size=n)),
+        max_size=10,
+    )
+)
+
+
+@FUZZ
+@given(variant=st.sampled_from(VARIANTS), word_lists=_sentence_lists)
+@example(variant="BLSTM", word_lists=[])
+@example(variant="BLSTM", word_lists=[[], [], []])
+@example(variant="LSTM", word_lists=[["Aspirin"]])
+@example(variant="BLSTM", word_lists=[["mAb", "helps"], ["the", "-", "3"], ["3", "mAb"]])
+def test_fuzz_grouped_prediction_equals_one_sentence_at_a_time(
+    variant_models, variant, word_lists
+):
+    model = variant_models[variant]
+    sentences = [
+        Sentence(tuple(Token(w, 10 * i, 10 * i + len(w)) for i, w in enumerate(words)))
+        for words in word_lists
+    ]
+    results = predict_batch(model, sentences)
+    assert len(results) == len(sentences)
+    for sentence, grouped in zip(sentences, results):
+        alone = predict(model, sentence)
+        assert grouped.labels == alone.labels
+        assert grouped.distributions.shape == (len(sentence.tokens), 3)
+        np.testing.assert_allclose(grouped.distributions, alone.distributions, rtol=0, atol=1e-12)

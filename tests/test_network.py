@@ -196,6 +196,21 @@ def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix):
         assert np.array_equal(grads.fused[key], ref_grads.fused[key]), key
 
 
+@pytest.mark.parametrize("length", [0, 1, 7])
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_batch_axis_matches_one_sentence_at_a_time(length, batch, reverse):
+    config = NetworkConfig("BLSTM", input_dim=4, dense_size=150, lstm_cells=20)
+    params = init_params(config, 3)
+    xs = np.random.default_rng(length + batch).uniform(-2, 2, (length, batch, 150))
+    hidden, cache = lstm_forward(params, "fwd", xs, reverse)
+    assert hidden.shape == (length, batch, 20)
+    assert cache["state"].shape == cache["hidden"].shape == (length + 1, batch, 20)
+    for b in range(batch):
+        alone, _ = lstm_forward(params, "fwd", xs[:, b], reverse)
+        np.testing.assert_allclose(hidden[:, b], alone, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # gate ranges and softmax invariants
 
