@@ -1,22 +1,24 @@
 """Command-line entry point: train, annotate, evaluate, compare-configs,
 gradcheck, synth.
 
-Every artifact written by a command embeds the resolved run configuration
-and seed, with the encoder and network of a loaded model.  Exit codes: 0 on
-success, 2 on usage errors, 1 otherwise, with a one-line ``ERROR
-<category>: <message>`` on stderr.  An empty test set, a ``compare-configs``
-grid in which no configuration succeeds and a negative ``--seed`` are errors.
+The parser is the only declaration of flags, defaults and required flags.
+Every artifact written by a command embeds its run record: the command plus
+every flag of its subcommand as parsed, with the encoder and network of a
+loaded model.  Exit codes: 0 on success, 2 on usage errors, 1 otherwise,
+with a one-line ``ERROR <category>: <message>`` on stderr; a malformed
+command line is one ``ERROR usage`` line, not argparse's usage dump.  An
+empty test set, a ``compare-configs`` grid in which no configuration
+succeeds and a negative ``--seed`` are errors.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import logging
+import pathlib
 import sys
 import time
-from dataclasses import dataclass
 
 from . import synth, tagger
 from .corpus import Corpus, read_bio_column_file, read_standoff, sample_split
@@ -30,47 +32,30 @@ logger = logging.getLogger(__name__)
 
 
 class UsageError(Exception):
-    """Invalid flag combination, reported before any work starts."""
+    """Malformed command line or invalid flag combination, reported before
+    any work starts."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved, serializable description of one CLI run."""
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a UsageError."""
 
-    command: str
-    corpus: str | None = None
-    format: str = "bio"
-    encoder: str = "TRI"
-    network: str = "BLSTM"
-    epochs: int = 100
-    seed: int = 0
-    train_size: int | None = None
-    test_size: int | None = None
-    model: str | None = None
-    embeddings: str | None = None
-    report: str | None = None
-    mode: str = "both"
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def error(self, message: str):
+        raise UsageError(message)
 
 
-def _read_corpus(path: str, fmt: str) -> Corpus:
-    if fmt == "bio":
-        return read_bio_column_file(path)
-    if fmt == "standoff":
-        return read_standoff(path)
-    raise UsageError(f"unknown corpus format {fmt!r}; expected bio or standoff")
+def _read_corpus(args: argparse.Namespace) -> Corpus:
+    read = read_standoff if args.format == "standoff" else read_bio_column_file
+    return read(args.corpus)
 
 
-def _run_config(args: argparse.Namespace, command: str, model=None) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
-    values = {k: v for k, v in vars(args).items() if k in fields}
-    if values.get("seed", 0) < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {values['seed']}")
+def _run_config(args: argparse.Namespace, model=None) -> dict:
+    """The run record: the command and every flag of its subcommand."""
+    run = {k: v for k, v in vars(args).items() if k != "func"}
+    if run.get("seed", 0) < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {run['seed']}")
     if model is not None:
-        values.update(encoder=model.encoder.method, network=model.config.variant)
-    return RunConfig(command=command, **values)
+        run.update(encoder=model.encoder.method, network=model.config.variant)
+    return run
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -84,62 +69,54 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = _run_config(args, "train")
-    if run.encoder.upper() == "EMB" and not run.embeddings:
+    run = _run_config(args)
+    if args.encoder == "EMB" and not args.embeddings:
         raise UsageError("encoder EMB requires --embeddings")
-    if not run.model:
-        raise UsageError("--model output path is required")
-    corpus = _read_corpus(run.corpus, run.format)
-    if run.train_size is not None:
-        sentences, _ = sample_split(corpus, run.train_size, 0, run.seed)
+    corpus = _read_corpus(args)
+    if args.train_size is not None:
+        sentences, _ = sample_split(corpus, args.train_size, 0, args.seed)
     else:
         sentences = corpus.sentences
-    table = load_embeddings(run.embeddings) if run.embeddings else None
+    table = load_embeddings(args.embeddings) if args.embeddings else None
     started = time.monotonic()
     model = train(
         sentences,
-        encoder_method=run.encoder,
-        network_variant=run.network,
-        training=TrainingConfig(epochs=run.epochs, seed=run.seed),
+        encoder_method=args.encoder,
+        network_variant=args.network,
+        training=TrainingConfig(epochs=args.epochs, seed=args.seed),
         embeddings=table,
     )
     elapsed = time.monotonic() - started
-    save_model(model, run.model, meta={"run_config": run.to_dict()})
+    save_model(model, args.model, meta={"run_config": run})
     _write_json(
-        run.model + ".trainlog.json",
+        args.model + ".trainlog.json",
         {
-            "run_config": run.to_dict(),
+            "run_config": run,
             "per_epoch_mean_loss": model.loss_trace,
             "wall_clock_seconds": elapsed,
         },
     )
     logger.info(
         "trained %s+%s on %d sentences in %.1fs; model written to %s",
-        run.encoder,
-        run.network,
+        args.encoder,
+        args.network,
         len(sentences),
         elapsed,
-        run.model,
+        args.model,
     )
     return 0
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    if not args.model:
-        raise UsageError("--model path is required")
     model = load_model(args.model)
-    run = _run_config(args, "annotate", model)
+    run = _run_config(args, model)
     if args.text is not None:
-        docs = [("doc0", args.text)]
-    elif args.input:
-        docs = []
-        for n, path in enumerate(args.input):
-            with open(path, encoding="utf-8") as fh:
-                docs.append((f"doc{n}", fh.read()))
+        texts = [args.text]
     else:
-        raise UsageError("provide --text or --input FILE")
+        texts = [pathlib.Path(path).read_text(encoding="utf-8") for path in args.input]
     records = []
-    for doc_id, text in docs:
+    for n, text in enumerate(texts):
+        doc_id = f"doc{n}"
         mentions = tagger.annotate(model, text, doc_id)
         records.append(
             {
@@ -155,50 +132,48 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                 ],
             }
         )
-    payload = {"run_config": run.to_dict(), "documents": records}
-    out = json.dumps(payload, indent=2, sort_keys=True)
+    payload = {"run_config": run, "documents": records}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        _write_json(args.out, payload)
     else:
-        print(out)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if not args.model:
-        raise UsageError("--model path is required")
+    if args.train_size is not None and args.test_size is None:
+        raise UsageError("--train-size needs --test-size")
     model = load_model(args.model)
-    run = _run_config(args, "evaluate", model)
-    test_data = _read_corpus(run.corpus, run.format)
-    if run.test_size is not None:
+    run = _run_config(args, model)
+    test_data = _read_corpus(args)
+    if args.test_size is not None:
         _, test_data = sample_split(
-            test_data, run.train_size or 0, run.test_size, run.seed
+            test_data, args.train_size or 0, args.test_size, args.seed
         )
-    report = evaluate(model, test_data, mode=run.mode)
-    report.config["run_config"] = run.to_dict()
+    report = evaluate(model, test_data, mode=args.mode)
+    report.config["run_config"] = run
     text = format_report(report)
     print(text)
-    if run.report:
-        with open(run.report + ".txt", "w", encoding="utf-8") as fh:
+    if args.report:
+        with open(args.report + ".txt", "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-            fh.write("# run_config: " + json.dumps(run.to_dict(), sort_keys=True) + "\n")
-        _write_json(run.report + ".json", report_to_dict(report))
+            fh.write("# run_config: " + json.dumps(run, sort_keys=True) + "\n")
+        _write_json(args.report + ".json", report_to_dict(report))
     return 0
 
 
 def cmd_compare_configs(args: argparse.Namespace) -> int:
     """Train all nine encoder x network configurations on one split and
     report macro-averaged BIO2 scores per configuration."""
-    run = _run_config(args, "compare-configs")
-    corpus = _read_corpus(run.corpus, run.format)
+    run = _run_config(args)
+    corpus = _read_corpus(args)
     available = len(corpus.sentences)
-    n_train = run.train_size if run.train_size is not None else available // 2
-    n_test = run.test_size if run.test_size is not None else available - n_train
-    train_sentences, test_sentences = sample_split(corpus, n_train, n_test, run.seed)
+    n_train = args.train_size if args.train_size is not None else available // 2
+    n_test = args.test_size if args.test_size is not None else available - n_train
+    train_sentences, test_sentences = sample_split(corpus, n_train, n_test, args.seed)
     if not test_sentences:  # nothing could score the trained models
         raise ValueError("the test data holds no sentence")
-    table = load_embeddings(run.embeddings) if run.embeddings else None
+    table = load_embeddings(args.embeddings) if args.embeddings else None
 
     rows = []
     for enc, variant in itertools.product(ENCODER_METHODS, VARIANTS):
@@ -210,7 +185,7 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
                 train_sentences,
                 encoder_method=enc,
                 network_variant=variant,
-                training=TrainingConfig(epochs=run.epochs, seed=run.seed),
+                training=TrainingConfig(epochs=args.epochs, seed=args.seed),
                 embeddings=table,
             )
             report = evaluate(model, test_sentences, mode="bio")
@@ -231,11 +206,11 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
             for key in ("precision", "recall", "f1")
         )
         print(f"{row['encoder']:<8} {row['network']:<8} {scores}  {row['status']}")
-    if run.report:
+    if args.report:
         _write_json(
-            run.report,
+            args.report,
             {
-                "run_config": run.to_dict(),
+                "run_config": run,
                 "train_sentences": len(train_sentences),
                 "test_sentences": len(test_sentences),
                 "grid": rows,
@@ -247,8 +222,8 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    run = _run_config(args, "gradcheck")
-    variants = list(VARIANTS) if args.network == "all" else [args.network.upper()]
+    run = _run_config(args)
+    variants = list(VARIANTS) if args.network == "all" else [args.network]
     all_passed = True
     results = []
     for variant in variants:
@@ -260,7 +235,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         )
         report = gradient_check(
             config,
-            seed=run.seed,
+            seed=args.seed,
             tolerance=args.tolerance,
             corruption=args.corruption,
         )
@@ -276,16 +251,16 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
                 "passed": report.passed,
             }
         )
-    if run.report:
-        _write_json(run.report, {"run_config": run.to_dict(), "checks": results})
+    if args.report:
+        _write_json(args.report, {"run_config": run, "checks": results})
     return 0 if all_passed else 1
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    run = _run_config(args, "synth")
+    _run_config(args)  # checks --seed
     config = synth.SynthConfig(
         n_sentences=args.sentences,
-        seed=run.seed,
+        seed=args.seed,
         misspell_rate=args.misspell_rate,
         case_mangle_rate=args.case_mangle_rate,
         mention_density=args.mention_density,
@@ -319,13 +294,13 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "seed" in names:
         p.add_argument("--seed", type=int, default=0)
     if "model" in names:
-        p.add_argument("--model", help="model file path")
+        p.add_argument("--model", required=True, help="model file path")
     if "report" in names:
         p.add_argument("--report", help="report output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqtag",
         description="Robust neural mention detection and BIO2 sequence labeling.",
     )
@@ -336,14 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder", default="TRI", choices=ENCODER_METHODS)
     p.add_argument("--network", default="BLSTM", choices=VARIANTS)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--train-size", type=int, default=None, dest="train_size")
+    p.add_argument("--train-size", type=int)
     p.add_argument("--embeddings", help="embedding text file (required for EMB)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("annotate", help="detect mention spans in raw text")
     _add_common(p, "model")
-    p.add_argument("--text", help="annotate this literal text")
-    p.add_argument("--input", nargs="*", help="raw UTF-8 text files, one document each")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--text", help="annotate this literal text")
+    source.add_argument("--input", nargs="+", help="raw UTF-8 text files, one document each")
     p.add_argument("--out", help="write standoff JSON here instead of stdout")
     p.set_defaults(func=cmd_annotate)
 
@@ -353,15 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--train-size",
         type=int,
-        default=None,
-        dest="train_size",
         help="with --test-size: reproduce the train/test split of the training run",
     )
     p.add_argument(
         "--test-size",
         type=int,
-        default=None,
-        dest="test_size",
         help="evaluate on this many held-out sentences instead of whole documents",
     )
     p.set_defaults(func=cmd_evaluate)
@@ -372,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, "corpus", "seed", "report")
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--train-size", type=int, default=None, dest="train_size")
-    p.add_argument("--test-size", type=int, default=None, dest="test_size")
+    p.add_argument("--train-size", type=int)
+    p.add_argument("--test-size", type=int)
     p.add_argument("--embeddings", help="embedding text file for the EMB rows")
     p.set_defaults(func=cmd_compare_configs)
 
@@ -381,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "seed", "report")
     p.add_argument("--network", default="all", choices=VARIANTS + ("all",))
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--input-dim", type=int, default=6, dest="input_dim")
-    p.add_argument("--dense-size", type=int, default=8, dest="dense_size")
-    p.add_argument("--lstm-cells", type=int, default=4, dest="lstm_cells")
+    p.add_argument("--input-dim", type=int, default=6)
+    p.add_argument("--dense-size", type=int, default=8)
+    p.add_argument("--lstm-cells", type=int, default=4)
     p.add_argument(
         "--corruption",
         type=float,
@@ -395,13 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded synthetic BIO corpus")
     _add_common(p, "seed")
     p.add_argument("--sentences", type=int, default=200)
-    p.add_argument("--misspell-rate", type=float, default=0.2, dest="misspell_rate")
-    p.add_argument(
-        "--case-mangle-rate", type=float, default=0.1, dest="case_mangle_rate"
-    )
-    p.add_argument(
-        "--mention-density", type=float, default=0.9, dest="mention_density"
-    )
+    p.add_argument("--misspell-rate", type=float, default=0.2)
+    p.add_argument("--case-mangle-rate", type=float, default=0.1)
+    p.add_argument("--mention-density", type=float, default=0.9)
     p.add_argument("--out", required=True, help="output BIO column file")
     p.set_defaults(func=cmd_synth)
 
@@ -412,9 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"ERROR usage: {exc}", file=sys.stderr)

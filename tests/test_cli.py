@@ -76,16 +76,56 @@ def test_train_emb_without_embeddings_is_usage_error(tmp_path, bio_corpus_path, 
 
 def test_train_rejects_report_flag(tmp_path, bio_corpus_path, capsys):
     model_path = tmp_path / "m.stm"
-    with pytest.raises(SystemExit) as exc:
-        run(
-            [
-                "train", "--corpus", bio_corpus_path, "--model", str(model_path),
-                "--report", str(tmp_path / "report"),
-            ]
-        )
-    assert exc.value.code == 2
-    assert "--report" in capsys.readouterr().err
+    code = run(
+        [
+            "train", "--corpus", bio_corpus_path, "--model", str(model_path),
+            "--report", str(tmp_path / "report"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--report" in err
+    assert err.startswith("ERROR usage: ") and len(err.splitlines()) == 1
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--corpus", "c.bio", "--model", "m.stm", "--bogus"],  # unknown flag
+        ["train", "--corpus", "c.bio", "--model", "m.stm", "--epochs", "abc"],  # bad int
+        ["train", "--corpus", "c.bio", "--model", "m.stm", "--network", "GRU"],  # choice
+        ["train", "--corpus", "c.bio"],  # missing --model
+        ["evaluate", "--corpus", "c.bio"],
+        ["annotate", "--text", "Aspirin helps."],
+        ["annotate", "--model", "m.stm"],  # neither --text nor --input
+        ["annotate", "--model", "m.stm", "--text", "Aspirin helps.", "--input", "a.txt"],
+        ["annotate", "--model", "m.stm", "--input"],  # --input without a file
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_parse_errors_are_one_usage_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR usage: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_annotate_reads_every_input_file(tmp_path, trained_model_path, capsys):
+    texts = ["Patients received treatment daily.", "Results were reported."]
+    paths = []
+    for n, text in enumerate(texts):
+        paths.append(tmp_path / f"doc{n}.txt")
+        paths[-1].write_text(text, encoding="utf-8")
+    assert run(["annotate", "--model", trained_model_path, "--input", *map(str, paths)]) == 0
+    documents = json.loads(capsys.readouterr().out)["documents"]
+    assert [(d["doc_id"], d["text"]) for d in documents] == [
+        ("doc0", texts[0]), ("doc1", texts[1])
+    ]
 
 
 def test_missing_corpus_reports_io_error(tmp_path, capsys):
@@ -210,6 +250,23 @@ def test_evaluate_heldout_sentences(tmp_path, bio_corpus_path, trained_model_pat
         ]
     )
     assert code == 0
+
+
+def test_evaluate_train_size_without_test_size_is_usage_error(
+    tmp_path, bio_corpus_path, trained_model_path, capsys
+):
+    report = tmp_path / "report"
+    code = run(
+        [
+            "evaluate", "--corpus", bio_corpus_path, "--model", trained_model_path,
+            "--train-size", "10", "--report", str(report),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR usage: --train-size needs --test-size\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", ["test-size-0", "empty-corpus"])
@@ -397,3 +454,70 @@ def test_annotate_and_evaluate_record_the_loaded_model(tmp_path, bio_corpus_path
     ]
     for run_config in run_configs:
         assert (run_config["encoder"], run_config["network"]) == ("DICT", "FF")
+
+
+def _subcommand_dests(command):
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        a.dest for a in subparsers.choices[command]._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
+
+
+def test_run_record_is_the_command_and_its_own_flags(tmp_path, bio_corpus_path):
+    model, out = tmp_path / "m.stm", tmp_path / "out"
+    assert run(
+        [
+            "train", "--corpus", bio_corpus_path, "--model", str(model),
+            "--encoder", "DICT", "--network", "FF", "--epochs", "2", "--seed", "3",
+        ]
+    ) == 0
+    assert run(
+        ["annotate", "--model", str(model), "--text", "Aspirin helps.", "--out", str(out)]
+    ) == 0
+    records = {
+        "train": json.loads((tmp_path / "m.stm.trainlog.json").read_text())["run_config"],
+        "annotate": json.loads(out.read_text())["run_config"],
+    }
+    assert run(
+        [
+            "evaluate", "--corpus", bio_corpus_path, "--model", str(model),
+            "--train-size", "10", "--test-size", "8", "--report", str(out),
+        ]
+    ) == 0
+    records["evaluate"] = json.loads((tmp_path / "out.json").read_text())["config"][
+        "run_config"
+    ]
+    assert run(
+        [
+            "compare-configs", "--corpus", bio_corpus_path, "--epochs", "1",
+            "--train-size", "6", "--test-size", "4", "--report", str(out),
+        ]
+    ) == 0
+    records["compare-configs"] = json.loads(out.read_text())["run_config"]
+    assert run(
+        [
+            "gradcheck", "--network", "FF", "--tolerance", "0.001", "--input-dim", "5",
+            "--dense-size", "7", "--lstm-cells", "3", "--report", str(out),
+        ]
+    ) == 0
+    records["gradcheck"] = json.loads(out.read_text())["run_config"]
+
+    for command, record in records.items():
+        loaded = {"encoder", "network"} if command in ("annotate", "evaluate") else set()
+        assert set(record) == {"command"} | _subcommand_dests(command) | loaded, command
+        assert record["command"] == command
+    assert records["train"]["epochs"] == 2 and records["train"]["seed"] == 3
+    for command in ("annotate", "evaluate"):
+        assert "epochs" not in records[command]
+        assert (records[command]["encoder"], records[command]["network"]) == ("DICT", "FF")
+    assert records["annotate"]["text"] == "Aspirin helps."
+    assert {k: records["gradcheck"][k] for k in (
+        "tolerance", "input_dim", "dense_size", "lstm_cells", "corruption"
+    )} == {
+        "tolerance": 0.001, "input_dim": 5, "dense_size": 7, "lstm_cells": 3,
+        "corruption": 0.0,
+    }

@@ -1,8 +1,10 @@
-"""Bounded fuzz tests of the file readers and of grouped prediction.
+"""Bounded fuzz tests of the file readers, the command line and grouped
+prediction.
 
 Every generated standoff file, BIO column file, embedding file and
 re-checksummed model header must either load or raise ValueError, which the
 CLI reports as ``ERROR invalid-input``; any other exception fails the test.
+Every generated command line must parse or end in one ``ERROR usage`` line.
 Every generated sentence list must predict the same in groups as one
 sentence at a time.
 """
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from seqtag import cli
 from seqtag.corpus import Sentence, Token, read_bio_column_file, read_standoff
 from seqtag.encoder import EmbeddingTable, load_embeddings
 from seqtag.network import VARIANTS
@@ -220,6 +223,45 @@ def test_fuzz_model_header_loads_or_value_error(tmp_path, model_files, data):
     if model is not None:
         sentence = Sentence((Token("Aspirin", 0, 7), Token("helps", 8, 13)))
         assert predict(model, sentence).distributions.shape == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# command lines, with every command stubbed out
+
+_COMMANDS = ["train", "annotate", "evaluate", "compare-configs", "gradcheck", "synth"]
+_argv_words = st.sampled_from(
+    _COMMANDS
+    + [
+        "--corpus", "--format", "--seed", "--model", "--report", "--encoder",
+        "--network", "--epochs", "--train-size", "--test-size", "--embeddings",
+        "--text", "--input", "--out", "--mode", "--tolerance", "--input-dim",
+        "--dense-size", "--lstm-cells", "--corruption", "--sentences",
+        "--misspell-rate", "--case-mangle-rate", "--mention-density", "--bogus",
+    ]
+    + ["abc", "-1", "nan", "", "0", "3", "1e-4", "TRI", "FF", "all", "bio", "x.bio"]
+)
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(_COMMANDS + ["bogus"]) | st.none(),
+    words=st.lists(_argv_words, max_size=8),
+)
+@example(command="gradcheck", words=[])
+@example(command="annotate", words=["--model", "x.bio", "--text", "", "--input", "abc"])
+def test_fuzz_command_line_parses_or_is_one_usage_line(
+    monkeypatch, capsys, command, words
+):
+    for name in _COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), lambda args: 0)
+    argv = ([command] if command else []) + words
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2), argv
+    if code == 2:
+        assert err.startswith("ERROR usage: ") and len(err.splitlines()) == 1, err
+    else:
+        assert err == ""
 
 
 # ---------------------------------------------------------------------------
