@@ -169,6 +169,8 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args)
     available = len(corpus.sentences)
     n_train = args.train_size if args.train_size is not None else available // 2
+    if n_train > available:
+        raise ValueError(f"--train-size {n_train} exceeds the corpus's {available} sentences")
     n_test = args.test_size if args.test_size is not None else available - n_train
     train_sentences, test_sentences = sample_split(corpus, n_train, n_test, args.seed)
     if not test_sentences:  # nothing could score the trained models

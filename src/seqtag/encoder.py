@@ -82,7 +82,7 @@ class Vocabulary:
     """Sorted-set key -> index map: the i-th smallest distinct key gets index i."""
 
     def __init__(self, keys: Iterable[str]):
-        self.keys = sorted(set(keys))
+        self.keys = sorted(dict.fromkeys(keys))  # linear on already sorted keys
         if not self.keys:
             raise ValueError("empty vocabulary")
         self.index = {k: i for i, k in enumerate(self.keys)}

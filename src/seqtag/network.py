@@ -6,12 +6,13 @@ tensors all use this one type.  Everything runs in double precision so
 analytic gradients can be verified against central finite differences.
 
 Lexical inputs are sparse: a sentence lights a handful of the input layer's
-columns.  The forward pass finds those columns once per sentence and
+columns.  The input weight is stored one contiguous row per input column,
+so the forward pass gathers the rows of the columns it finds active and
 multiplies only them; backpropagation writes the input weight's gradient
-only in those columns and records them on the gradient buffer, and SGD
-updates those columns plus the rest of the buffer.  So a sentence costs
+only in those rows and records them on the gradient buffer, and SGD
+updates those rows plus the rest of the buffer.  So a sentence costs
 O(active columns x dense_size) in the input layer, not
-O(input_dim x dense_size).
+O(input_dim x dense_size), and touches whole cache lines.
 
 The LSTM cell uses the nonstandard state update
 
@@ -109,10 +110,14 @@ class Params(Mapping):
     views over all four gates.  Tensors are updated in place; entries cannot
     be replaced.
 
-    The first tensor is the network's input weight.  ``input_columns`` indexes
-    its last axis and covers every column that may be non-zero: all of them
-    (``slice(None)``) until ``backward_bptt`` records the columns the forward
-    pass found active in a sentence (the ``"cols"`` of its input-layer cache).
+    The first tensor is the network's input weight.  It is stored as
+    (input_dim, dense_size) rows at the start of ``flat``, one row per input
+    column, and ``params[name]`` is the logical (dense_size, input_dim)
+    transposed view of them; every other tensor is a C-contiguous view.
+    ``input_columns`` indexes those rows and covers every row that may be
+    non-zero: all of them (``slice(None)``) until ``backward_bptt`` records
+    the columns the forward pass found active in a sentence (the ``"cols"``
+    of its input-layer cache).
     """
 
     def __init__(self, spec: list[tuple[str, tuple]]):
@@ -127,12 +132,13 @@ class Params(Mapping):
         self.flat = np.zeros(sum(math.prod(shape) for _, shape in spec))
         views: dict[str, np.ndarray] = {}
         self.fused: dict[str, np.ndarray] = {}
-        offset = 0
+        offset, first = 0, spec[0][0]  # the input weight is stored as rows
         for key, members in groups.items():
             start = offset
             for name, shape in members:
-                views[name] = self.flat[offset : offset + math.prod(shape)].reshape(shape)
-                offset += views[name].size
+                view = self.flat[offset : offset + math.prod(shape)]
+                views[name] = view.reshape(shape[::-1]).T if name == first else view.reshape(shape)
+                offset += view.size
             if key not in views:
                 self.fused[key] = self.flat[start:offset].reshape(-1, *members[0][1][1:])
         self._views = {name: views[name] for name, _ in spec}
@@ -194,20 +200,23 @@ def _input_forward(params, prefix, xs):
         raise ValueError(f"expected inputs of shape (T, {width}), got {xs.shape}")
     cols = np.flatnonzero(xs.any(axis=0))
     xs_cols = xs[:, cols]
-    pre = xs_cols @ params[f"{prefix}.w"][:, cols].T + params[f"{prefix}.b"]
+    pre = xs_cols @ params[f"{prefix}.w"].T[cols] + params[f"{prefix}.b"]
     return np.maximum(pre, 0.0), {"cols": cols, "xs_cols": xs_cols, "pre": pre}
 
 
 def _input_backward(prefix, cache, dout, grads):
-    """Gradients of the input layer, written only in the columns the forward
-    pass used; the columns the previous sentence wrote are zeroed first.  The
-    gradient w.r.t. the inputs is not computed: nothing reads it.
+    """Gradients of the input layer, written only in the rows of the columns
+    the forward pass used; the rows the previous sentence wrote are zeroed
+    first.  The gradient w.r.t. the inputs is not computed: nothing reads it.
     """
     dpre = dout * (cache["pre"] > 0)
     cols = cache["cols"]
-    weight = grads[f"{prefix}.w"]
-    weight[:, grads.input_columns] = 0.0
-    weight[:, cols] = dpre.T @ cache["xs_cols"]
+    rows = grads[f"{prefix}.w"].T
+    rows[grads.input_columns] = 0.0
+    # Computed as (dense_size, k) and written transposed: BLAS may sum
+    # xs_cols.T @ dpre in another order for long sentences, and training
+    # would then no longer reproduce models bit for bit across layouts.
+    rows[cols] = (dpre.T @ cache["xs_cols"]).T
     grads[f"{prefix}.b"][...] = dpre.sum(axis=0)
     grads.input_columns = cols
 
@@ -263,7 +272,7 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
         dhidden = dhidden[::-1]
     act, state = cache["act"], cache["state"]
     T, cells = dhidden.shape
-    cand, g_in, g_forget, g_out = np.split(act, 4, axis=1)
+    cand, g_in, g_forget, g_out = (act[:, k * cells : (k + 1) * cells] for k in range(4))
     partner = np.concatenate([g_in, cand, state[:-1], state[1:]], axis=1)
     gate = np.concatenate([np.ones((T, cells)), act[:, cells:]], axis=1)
     slope = np.concatenate([1.0 - cand * cand, 1.0 - act[:, cells:]], axis=1)
@@ -389,18 +398,18 @@ def backward_bptt(
 def sgd_step(params: Params, grads: Params, learning_rate: float) -> Params:
     """In-place p <- p - lr * g; rejects non-finite gradients.
 
-    Updates the input weight (the first tensor) in ``grads.input_columns``
-    and every later tensor, which follow it contiguously in the buffer.  The
-    input weight's gradient is zero elsewhere, so this equals the update of
-    the whole buffer.  The finiteness check covers exactly the updated
-    elements.
+    Updates the rows ``grads.input_columns`` of the input weight (the first
+    tensor) and every later tensor, which follow it contiguously in the
+    buffer.  The input weight's gradient is zero elsewhere, so this equals
+    the update of the whole buffer.  The finiteness check covers exactly the
+    updated elements.
     """
     first = next(iter(grads))
     cols, rest = grads.input_columns, grads[first].size
-    g_input, g_rest = grads[first][..., cols], grads.flat[rest:]
+    g_input, g_rest = grads[first].T[cols], grads.flat[rest:]
     if not (np.isfinite(g_input.sum()) and np.isfinite(g_rest.sum())):
         raise ValueError(f"non-finite gradient in {_nonfinite_tensor(grads)}")
-    params[first][..., cols] -= learning_rate * g_input
+    params[first].T[cols] -= learning_rate * g_input
     params.flat[rest:] -= learning_rate * g_rest
     return params
 
@@ -478,16 +487,16 @@ def gradient_check(
     per_block: dict[str, float] = {}
     for name in analytic:
         block_err = 0.0
-        flat, analytic_flat = params[name].reshape(-1), analytic[name].reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
+        tensor = params[name]  # perturbed by index: the input weight is a transposed view
+        for j in np.ndindex(tensor.shape):
+            orig = tensor[j]
+            tensor[j] = orig + eps
             up = loss(forward(xs, config, params)[0], gold)
-            flat[j] = orig - eps
+            tensor[j] = orig - eps
             down = loss(forward(xs, config, params)[0], gold)
-            flat[j] = orig
+            tensor[j] = orig
             numeric = (up - down) / (2.0 * eps)
-            a = float(analytic_flat[j])
+            a = float(analytic[name][j])
             if math.isfinite(a) and math.isfinite(numeric):
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
             else:

@@ -295,8 +295,7 @@ def load_model(path) -> TaggerModel:
     vocabulary = enc.get(_VOCABULARY_KEY[method])
     if not (
         isinstance(vocabulary, list)
-        and vocabulary
-        and all(isinstance(v, str) for v in vocabulary)
+        and set(map(type, vocabulary)) == {str}
         and (method != "EMB" or (_has_type(enc.get("dim"), int) and enc["dim"] > 0))
     ):
         raise ValueError(f"{path}: malformed encoder section in header")

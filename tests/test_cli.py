@@ -368,6 +368,28 @@ def test_compare_configs_rejects_empty_test_split_before_training(
     assert trainings == [] and not report.exists()
 
 
+def test_compare_configs_rejects_train_size_beyond_corpus(
+    tmp_path, bio_corpus_path, capsys, monkeypatch
+):
+    trainings = []
+    monkeypatch.setattr("seqtag.cli.train", lambda *a, **k: trainings.append(k))
+    report = tmp_path / "grid.json"
+    for extra in ([], ["--test-size", "4"]):
+        code = run(
+            [
+                "compare-configs", "--corpus", bio_corpus_path, "--epochs", "1",
+                "--train-size", "100000", "--report", str(report), *extra,
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "ERROR invalid-input: --train-size 100000 exceeds the corpus's 24 sentences\n"
+        )
+        assert captured.out == ""
+        assert trainings == [] and not report.exists()
+
+
 def test_gradcheck_passes_and_reports_blocks(tmp_path, capsys):
     report = tmp_path / "grad.json"
     code = run(["gradcheck", "--network", "FF", "--report", str(report)])

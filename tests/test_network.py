@@ -341,17 +341,15 @@ def test_loss_length_mismatch():
 def numeric_gradients(xs, gold, config, params, eps=1e-6):
     grads = {}
     for name, tensor in params.items():
-        num = np.zeros_like(tensor)
-        flat = tensor.reshape(-1)
-        out = num.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
+        num = np.zeros(tensor.shape)
+        for j in np.ndindex(tensor.shape):  # by index: the input weight is a transposed view
+            orig = tensor[j]
+            tensor[j] = orig + eps
             up = loss(forward(xs, config, params)[0], gold)
-            flat[j] = orig - eps
+            tensor[j] = orig - eps
             down = loss(forward(xs, config, params)[0], gold)
-            flat[j] = orig
-            out[j] = (up - down) / (2 * eps)
+            tensor[j] = orig
+            num[j] = (up - down) / (2 * eps)
         grads[name] = num
     return grads
 
@@ -545,6 +543,28 @@ def test_fused_views_share_the_per_gate_buffer():
         assert np.array_equal(fused, stacked)
     with pytest.raises(TypeError):
         params["out.b"] = np.zeros(3)
+
+
+@pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
+def test_input_weight_is_stored_one_row_per_input_column(variant):
+    config = NetworkConfig(variant, input_dim=7, dense_size=6, lstm_cells=3)
+    params = init_params(config, 0)
+    first, *rest = params
+    rows, base = params[first].T, params.flat.ctypes.data
+    assert params[first].shape == (6, 7) and rows.flags.c_contiguous
+    assert rows.ctypes.data == base and rows.size == 7 * 6
+    assert np.array_equal(rows.reshape(-1), params.flat[: rows.size])
+    extents = [(0, rows.nbytes)]
+    for name in rest:
+        tensor = params[name]
+        assert tensor.flags.c_contiguous and np.shares_memory(tensor, params.flat), name
+        extents.append((tensor.ctypes.data - base, tensor.nbytes))
+    # The views tile the buffer: no gap and no overlap.
+    ends = [0]
+    for start, nbytes in sorted(extents):
+        assert start == ends[-1]
+        ends.append(start + nbytes)
+    assert ends[-1] == params.flat.nbytes
 
 
 def test_saturated_perfect_predictions_have_tiny_gradients():

@@ -207,6 +207,17 @@ def test_save_load_round_trip_bit_exact(tmp_path, tiny_sentences, encoder):
         assert np.array_equal(a.distributions, b.distributions)
 
 
+@pytest.mark.parametrize("network", ["FF", "LSTM", "BLSTM"])
+def test_save_load_resave_byte_identical(tmp_path, tiny_sentences, network):
+    model = quick_train(tiny_sentences, network=network, epochs=1)
+    saved, resaved = tmp_path / "saved.stm", tmp_path / "resaved.stm"
+    save_model(model, saved)
+    loaded = load_model(saved)
+    save_model(loaded, resaved)
+    assert resaved.read_bytes() == saved.read_bytes()
+    assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+
+
 def test_save_load_preserves_config(tmp_path, tiny_sentences):
     model = quick_train(tiny_sentences)
     path = tmp_path / "model.stm"
