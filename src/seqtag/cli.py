@@ -7,8 +7,8 @@ every flag of its subcommand as parsed, with the encoder and network of a
 loaded model.  Exit codes: 0 on success, 2 on usage errors, 1 otherwise,
 with a one-line ``ERROR <category>: <message>`` on stderr; a malformed
 command line is one ``ERROR usage`` line, not argparse's usage dump.  An
-empty test set, a ``compare-configs`` grid in which no configuration
-succeeds and a negative ``--seed`` are errors.
+empty test set, a ``compare-configs`` grid with no successful configuration
+and a negative ``--seed``, ``--train-size`` or ``--test-size`` are errors.
 """
 from __future__ import annotations
 
@@ -51,8 +51,10 @@ def _read_corpus(args: argparse.Namespace) -> Corpus:
 def _run_config(args: argparse.Namespace, model=None) -> dict:
     """The run record: the command and every flag of its subcommand."""
     run = {k: v for k, v in vars(args).items() if k != "func"}
-    if run.get("seed", 0) < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {run['seed']}")
+    for name in ("seed", "train_size", "test_size"):  # checked before any work
+        if (run.get(name) or 0) < 0:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be a non-negative integer, got {run[name]}")
     if model is not None:
         run.update(encoder=model.encoder.method, network=model.config.variant)
     return run

@@ -6,13 +6,13 @@ tensors all use this one type.  Everything runs in double precision so
 analytic gradients can be verified against central finite differences.
 
 Lexical inputs are sparse: a sentence lights a handful of the input layer's
-columns.  The input weight is stored one contiguous row per input column,
-so the forward pass gathers the rows of the columns it finds active and
-multiplies only them; backpropagation writes the input weight's gradient
-only in those rows and records them on the gradient buffer, and SGD
+columns, and the network reads it as a ``SentenceInput`` record of those
+columns and its values in them.  The input weight is stored one contiguous
+row per input column, so the forward pass gathers the rows of the record's
+columns and multiplies only them; backpropagation writes the input weight's
+gradient only in those rows and records them on the gradient buffer, and SGD
 updates those rows plus the rest of the buffer.  So a sentence costs
-O(active columns x dense_size) in the input layer, not
-O(input_dim x dense_size), and touches whole cache lines.
+O(active columns x dense_size) in the input layer, not O(input_dim x dense_size).
 
 The LSTM cell uses the nonstandard state update
 
@@ -116,8 +116,8 @@ class Params(Mapping):
     transposed view of them; every other tensor is a C-contiguous view.
     ``input_columns`` indexes those rows and covers every row that may be
     non-zero: all of them (``slice(None)``) until ``backward_bptt`` records
-    the columns the forward pass found active in a sentence (the ``"cols"``
-    of its input-layer cache).
+    the columns of a sentence's record (the ``"cols"`` of its input-layer
+    cache).
     """
 
     def __init__(self, spec: list[tuple[str, tuple]]):
@@ -191,17 +191,34 @@ def _dense_backward(params, prefix, cache, dout, grads):
     return dpre @ params[f"{prefix}.w"]
 
 
-def _input_forward(params, prefix, xs):
-    """The input layer on the columns the sentence uses: the columns where
-    ``xs`` is all-zero add nothing to the product, so they are not read.
-    """
-    xs, width = np.asarray(xs, dtype=np.float64), params[f"{prefix}.w"].shape[1]
-    if xs.ndim != 2 or xs.shape[1] != width:
-        raise ValueError(f"expected inputs of shape (T, {width}), got {xs.shape}")
+@dataclass(frozen=True, eq=False)
+class SentenceInput:
+    """A sentence's sorted non-zero columns and their (T, k) values; len() is T."""
+
+    cols: np.ndarray
+    values: np.ndarray
+    input_dim: int
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def sentence_input(xs, input_dim: int) -> SentenceInput:
+    """The record of a (T, input_dim) matrix; its all-zero columns add nothing."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != input_dim:
+        raise ValueError(f"expected inputs of shape (T, {input_dim}), got {xs.shape}")
     cols = np.flatnonzero(xs.any(axis=0))
-    xs_cols = xs[:, cols]
-    pre = xs_cols @ params[f"{prefix}.w"].T[cols] + params[f"{prefix}.b"]
-    return np.maximum(pre, 0.0), {"cols": cols, "xs_cols": xs_cols, "pre": pre}
+    return SentenceInput(cols, xs[:, cols], input_dim)
+
+
+def _input_forward(params, prefix, inputs: SentenceInput):
+    """The input layer on the rows of the columns the sentence uses."""
+    rows = params[f"{prefix}.w"].T
+    if inputs.input_dim != len(rows):
+        raise ValueError(f"inputs of width {inputs.input_dim} for input_dim {len(rows)}")
+    pre = inputs.values @ rows[inputs.cols] + params[f"{prefix}.b"]
+    return np.maximum(pre, 0.0), {"cols": inputs.cols, "xs_cols": inputs.values, "pre": pre}
 
 
 def _input_backward(prefix, cache, dout, grads):
@@ -301,23 +318,23 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
 
 
 def forward(
-    xs: np.ndarray, config: NetworkConfig, params: Params
+    inputs: SentenceInput, config: NetworkConfig, params: Params
 ) -> tuple[np.ndarray, dict]:
-    """Evaluate the configured stack on a (T, input_dim) sentence.
+    """Evaluate the configured stack on the record of one sentence of T tokens.
 
     Returns per-token class distributions (T, n_classes) and the activation
     cache needed by backward_bptt.  An empty sentence yields empty outputs.
     """
     first = "dense1" if config.variant == "FF" else "dense"
-    h, input_cache = _input_forward(params, first, xs)
+    h, input_cache = _input_forward(params, first, inputs)
     return _upper_forward(h, config, params, {first: input_cache})
 
 
-def forward_batch(sentences, config: NetworkConfig, params: Params) -> np.ndarray:
-    """Class distributions (T, B, n_classes) of B sentences of one length T.  The
-    input layer reads the (T, input_dim) matrices ``sentences`` yields one at a time."""
+def forward_batch(sentences: list, config: NetworkConfig, params: Params) -> np.ndarray:
+    """Class distributions (T, B, n_classes) of the records of B sentences of one
+    length T.  The input layer reads each record in turn; its outputs are stacked."""
     first = "dense1" if config.variant == "FF" else "dense"
-    h = np.stack([_input_forward(params, first, xs)[0] for xs in sentences], axis=1)
+    h = np.stack([_input_forward(params, first, inputs)[0] for inputs in sentences], axis=1)
     return _upper_forward(h, config, params, {})[0]
 
 
@@ -353,14 +370,14 @@ def loss(ys: np.ndarray, gold: np.ndarray) -> float:
 def backward_bptt(
     cache: dict, gold: np.ndarray, config: NetworkConfig, params: Params, grads: Params
 ) -> Params:
-    """Exact gradients of loss(forward(xs), gold) w.r.t. every parameter.
+    """Exact gradients of loss(forward(inputs), gold) w.r.t. every parameter.
 
     The sentence is unrolled in full; no truncation.  Softmax and
     cross-entropy are fused, so dlogits = (y - onehot) / T.  Every tensor
     of ``grads`` receives exactly one contribution and is overwritten, so
     one buffer from ``zero_gradients`` serves a whole training run.  The
-    input weight is the exception: only the columns ``forward`` found active
-    and cached are written, the previously recorded ones are zeroed, and the
+    input weight is the exception: only the rows of the record's columns,
+    cached by ``forward``, are written, the previously recorded ones are zeroed, and the
     new ones are recorded in ``grads.input_columns``.
     """
     ys = cache["ys"]
@@ -474,8 +491,9 @@ def gradient_check(
         params = init_params(config, draw_seed)
         rng = np.random.default_rng(draw_seed + 1)
         xs = rng.uniform(-1.0, 1.0, (sequence_length, config.input_dim))
+        inputs = sentence_input(xs, config.input_dim)  # every column active
         gold = rng.integers(0, config.n_classes, sequence_length)
-        _, cache = forward(xs, config, params)
+        _, cache = forward(inputs, config, params)
         if _min_relu_margin(cache) > 1e-4:
             break
 
@@ -491,9 +509,9 @@ def gradient_check(
         for j in np.ndindex(tensor.shape):
             orig = tensor[j]
             tensor[j] = orig + eps
-            up = loss(forward(xs, config, params)[0], gold)
+            up = loss(forward(inputs, config, params)[0], gold)
             tensor[j] = orig - eps
-            down = loss(forward(xs, config, params)[0], gold)
+            down = loss(forward(inputs, config, params)[0], gold)
             tensor[j] = orig
             numeric = (up - down) / (2.0 * eps)
             a = float(analytic[name][j])

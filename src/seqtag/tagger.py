@@ -34,6 +34,7 @@ from .network import (
     init_params,
     loss,
     param_spec,
+    sentence_input,
     sgd_step,
     zero_gradients,
 )
@@ -113,7 +114,8 @@ def train(
     params = init_params(config, training.seed)
     grads = zero_gradients(config)
 
-    inputs = [encode_sentence(encoder, s) for s in sentences]
+    # One dense (T, input_dim) matrix is alive at a time: each becomes a record.
+    inputs = [sentence_input(encode_sentence(encoder, s), config.input_dim) for s in sentences]
     golds = [
         np.array([LABEL_TO_INDEX[lab] for lab in s.labels], dtype=np.int64)
         for s in sentences
@@ -161,10 +163,11 @@ def predict_batch(model: TaggerModel, sentences: list) -> list[PredictionResult]
     for n, sentence in enumerate(sentences):
         groups.setdefault(len(sentence.tokens), []).append(n)
     results: list = [None] * len(sentences)
+    encoder, width = model.encoder, model.config.input_dim
     for members in groups.values():
-        inputs = (encode_sentence(model.encoder, sentences[n]) for n in members)
+        inputs = [sentence_input(encode_sentence(encoder, sentences[n]), width) for n in members]
         if len(members) == 1:  # a sentence alone runs unbatched, as in training
-            ys = forward(next(inputs), model.config, model.params)[0][:, None]
+            ys = forward(inputs[0], model.config, model.params)[0][:, None]
         else:
             ys = forward_batch(inputs, model.config, model.params)
         best = np.argmax(ys, axis=-1)

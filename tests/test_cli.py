@@ -459,6 +459,32 @@ def test_negative_seed_is_invalid_input_naming_the_flag(
     assert not out.exists() and not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "flag", "extra"),
+    [
+        ("train", "--train-size", []),
+        ("evaluate", "--train-size", ["--test-size", "3"]),
+        ("evaluate", "--test-size", []),
+        ("compare-configs", "--train-size", []),
+        ("compare-configs", "--test-size", []),
+    ],
+)
+def test_negative_sample_size_is_invalid_input_naming_the_flag(
+    tmp_path, bio_corpus_path, trained_model_path, capsys, monkeypatch, command, flag, extra
+):
+    trainings = []
+    monkeypatch.setattr("seqtag.cli.train", lambda *a, **k: trainings.append(k))
+    argv = [
+        a.format(corpus=bio_corpus_path, model=trained_model_path, out=tmp_path / "out")
+        for a in SEEDED_COMMANDS[command]
+    ]
+    assert run([command, *argv, *extra, flag, "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR invalid-input: {flag} must be a non-negative integer, got -2\n"
+    assert captured.out == ""
+    assert trainings == [] and list(tmp_path.iterdir()) == []
+
+
 def test_annotate_and_evaluate_record_the_loaded_model(tmp_path, bio_corpus_path):
     model = str(DATA / "compat_dict_ff.stm")
     annotations, report = tmp_path / "annotations.json", tmp_path / "report"

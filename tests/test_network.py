@@ -7,6 +7,7 @@ import pytest
 from seqtag.network import (
     NetworkConfig,
     Params,
+    SentenceInput,
     backward_bptt,
     forward,
     gradient_check,
@@ -15,6 +16,7 @@ from seqtag.network import (
     lstm_backward,
     lstm_forward,
     param_spec,
+    sentence_input,
     sgd_step,
     softmax_rows,
     zero_gradients,
@@ -238,6 +240,11 @@ def test_softmax_rows_sum_to_one():
 # forward stacks
 
 
+def as_input(xs):
+    """The record ``forward`` reads of a (T, V) test matrix."""
+    return sentence_input(xs, xs.shape[1])
+
+
 @pytest.fixture(params=["FF", "LSTM", "BLSTM"])
 def small_config(request):
     return NetworkConfig(request.param, input_dim=6, dense_size=8, lstm_cells=4)
@@ -245,13 +252,13 @@ def small_config(request):
 
 def test_zero_params_give_uniform_distributions(small_config):
     params = Params(param_spec(small_config))
-    ys, _ = forward(np.ones((4, 6)), small_config, params)
+    ys, _ = forward(as_input(np.ones((4, 6))), small_config, params)
     assert np.allclose(ys, 1.0 / 3.0)
 
 
 def test_empty_sentence_gives_empty_outputs(small_config):
     params = init_params(small_config, 0)
-    ys, cache = forward(np.zeros((0, 6)), small_config, params)
+    ys, cache = forward(as_input(np.zeros((0, 6))), small_config, params)
     assert ys.shape == (0, 3)
     grads = zero_gradients(small_config)
     grads.flat[:] = 1.0  # stale values from an earlier sentence
@@ -263,9 +270,9 @@ def test_ff_is_context_free():
     cfg = NetworkConfig("FF", input_dim=6, dense_size=8, lstm_cells=4)
     params = init_params(cfg, 2)
     xs = np.random.default_rng(0).uniform(-1, 1, (5, 6))
-    ys, _ = forward(xs, cfg, params)
+    ys, _ = forward(as_input(xs), cfg, params)
     perm = [4, 2, 0, 3, 1]
-    ys_perm, _ = forward(xs[perm], cfg, params)
+    ys_perm, _ = forward(as_input(xs[perm]), cfg, params)
     assert np.allclose(ys_perm, ys[perm])
 
 
@@ -276,8 +283,8 @@ def test_lstm_is_causal():
     xs = rng.uniform(-1, 1, (6, 6))
     changed = xs.copy()
     changed[-1] = rng.uniform(-1, 1, 6)
-    ys, _ = forward(xs, cfg, params)
-    ys2, _ = forward(changed, cfg, params)
+    ys, _ = forward(as_input(xs), cfg, params)
+    ys2, _ = forward(as_input(changed), cfg, params)
     assert np.allclose(ys[:-1], ys2[:-1])
     assert not np.allclose(ys[-1], ys2[-1])
 
@@ -289,8 +296,8 @@ def test_blstm_context_flows_backward():
     xs = rng.uniform(-1, 1, (6, 6))
     changed = xs.copy()
     changed[-1] = rng.uniform(-1, 1, 6)
-    ys, _ = forward(xs, cfg, params)
-    ys2, _ = forward(changed, cfg, params)
+    ys, _ = forward(as_input(xs), cfg, params)
+    ys2, _ = forward(as_input(changed), cfg, params)
     assert not np.allclose(ys[0], ys2[0])
 
 
@@ -339,15 +346,15 @@ def test_loss_length_mismatch():
 
 
 def numeric_gradients(xs, gold, config, params, eps=1e-6):
-    grads = {}
+    grads, inputs = {}, as_input(xs)
     for name, tensor in params.items():
         num = np.zeros(tensor.shape)
         for j in np.ndindex(tensor.shape):  # by index: the input weight is a transposed view
             orig = tensor[j]
             tensor[j] = orig + eps
-            up = loss(forward(xs, config, params)[0], gold)
+            up = loss(forward(inputs, config, params)[0], gold)
             tensor[j] = orig - eps
-            down = loss(forward(xs, config, params)[0], gold)
+            down = loss(forward(inputs, config, params)[0], gold)
             tensor[j] = orig
             num[j] = (up - down) / (2 * eps)
         grads[name] = num
@@ -378,7 +385,7 @@ def test_bptt_matches_finite_differences(variant, seed):
     rng = np.random.default_rng(seed + 100)
     xs = rng.uniform(-1, 1, (4, 5))
     gold = rng.integers(0, 3, 4)
-    _, cache = forward(xs, config, params)
+    _, cache = forward(as_input(xs), config, params)
     analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
     assert_matches_numeric(analytic, numeric_gradients(xs, gold, config, params))
 
@@ -390,7 +397,7 @@ def test_sparse_input_gradient_matches_finite_differences(variant):
     rng = np.random.default_rng(8)
     xs = multi_hot(rng, 4, 9, np.arange(6))  # columns 6..8 stay all-zero
     gold = rng.integers(0, 3, 4)
-    _, cache = forward(xs, config, params)
+    _, cache = forward(as_input(xs), config, params)
     analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
     assert_matches_numeric(analytic, numeric_gradients(xs, gold, config, params))
     weight = analytic[next(iter(analytic))]
@@ -417,6 +424,32 @@ def input_layer(config):
     return "dense1" if config.variant == "FF" else "dense"
 
 
+@pytest.mark.parametrize("kind", ["multi-hot", "zero rows", "all zero", "dense", "empty"])
+def test_sentence_input_keeps_the_active_columns_and_their_values(kind):
+    rng = np.random.default_rng(12)
+    xs = np.zeros((0, 10)) if kind == "empty" else input_case(kind, rng)
+    record = sentence_input(xs, 10)
+    assert isinstance(record, SentenceInput) and record.input_dim == 10
+    cols = np.flatnonzero(xs.any(axis=0))
+    assert record.cols.dtype == cols.dtype and record.cols.tobytes() == cols.tobytes()
+    values = xs[:, cols]
+    assert record.values.dtype == np.float64 and record.values.shape == values.shape
+    assert record.values.tobytes() == values.tobytes()
+    assert len(record) == len(xs)
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (5, 11), (10,), (2, 5, 10)])
+def test_sentence_input_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"expected inputs of shape \(T, 10\), got "):
+        sentence_input(np.zeros(shape), 10)
+
+
+def test_forward_rejects_a_record_of_another_width(small_config):
+    params = init_params(small_config, 0)
+    with pytest.raises(ValueError, match="inputs of width 7 for input_dim 6"):
+        forward(sentence_input(np.ones((3, 7)), 7), small_config, params)
+
+
 @pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
 @pytest.mark.parametrize("kind", ["multi-hot", "zero rows", "all zero", "dense"])
 def test_input_layer_matches_full_product(variant, kind):
@@ -426,7 +459,7 @@ def test_input_layer_matches_full_product(variant, kind):
     layer = input_layer(config)
     params[f"{layer}.b"][:] = rng.uniform(-0.5, 0.5, 6)
     xs, gold = input_case(kind, rng), rng.integers(0, 3, 5)
-    _, cache = forward(xs, config, params)
+    _, cache = forward(as_input(xs), config, params)
     full = xs @ params[f"{layer}.w"].T + params[f"{layer}.b"]
     np.testing.assert_allclose(cache[layer]["pre"], full, rtol=0, atol=1e-12)
     assert np.array_equal(cache[layer]["cols"], np.flatnonzero(xs.any(axis=0)))
@@ -441,11 +474,11 @@ def test_forward_reads_only_active_input_columns(variant, kind):
     config = NetworkConfig(variant, input_dim=10, dense_size=6, lstm_cells=3)
     params = init_params(config, 3)
     xs = input_case(kind, np.random.default_rng(10))
-    clean, _ = forward(xs, config, params)
+    clean, _ = forward(as_input(xs), config, params)
     idle = ~xs.any(axis=0)
     assert idle.sum() >= 4
     params[f"{input_layer(config)}.w"][:, idle] = np.nan  # nan * 0 is nan
-    poisoned, _ = forward(xs, config, params)
+    poisoned, _ = forward(as_input(xs), config, params)
     assert np.isfinite(poisoned).all()
     assert poisoned.tobytes() == clean.tobytes()
 
@@ -460,10 +493,10 @@ def test_reused_gradient_buffer_matches_fresh_buffer(variant, lengths):
         (rng.uniform(-1, 1, (T, 5)), rng.integers(0, 3, T)) for T in lengths
     ]
     reused = zero_gradients(config)
-    backward_bptt(forward(xs_a, config, params)[1], gold_a, config, params, reused)
-    backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, reused)
+    backward_bptt(forward(as_input(xs_a), config, params)[1], gold_a, config, params, reused)
+    backward_bptt(forward(as_input(xs_b), config, params)[1], gold_b, config, params, reused)
     fresh = zero_gradients(config)
-    backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, fresh)
+    backward_bptt(forward(as_input(xs_b), config, params)[1], gold_b, config, params, fresh)
     assert reused.flat.tobytes() == fresh.flat.tobytes()
 
 
@@ -475,10 +508,10 @@ def test_reused_buffer_with_disjoint_input_columns_matches_fresh(variant):
     xs_a, xs_b = multi_hot(rng, 5, 10, np.arange(5)), multi_hot(rng, 3, 10, np.arange(5, 10))
     gold_a, gold_b = rng.integers(0, 3, 5), rng.integers(0, 3, 3)
     reused = zero_gradients(config)
-    backward_bptt(forward(xs_a, config, params)[1], gold_a, config, params, reused)
-    backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, reused)
+    backward_bptt(forward(as_input(xs_a), config, params)[1], gold_a, config, params, reused)
+    backward_bptt(forward(as_input(xs_b), config, params)[1], gold_b, config, params, reused)
     fresh = zero_gradients(config)
-    backward_bptt(forward(xs_b, config, params)[1], gold_b, config, params, fresh)
+    backward_bptt(forward(as_input(xs_b), config, params)[1], gold_b, config, params, fresh)
     assert reused.flat.tobytes() == fresh.flat.tobytes()
 
 
@@ -489,7 +522,7 @@ def test_sgd_after_bptt_equals_dense_update(variant):
     rng = np.random.default_rng(7)
     for columns in (np.arange(5), np.arange(4, 10)):
         xs, gold = multi_hot(rng, 4, 10, columns), rng.integers(0, 3, 4)
-        backward_bptt(forward(xs, config, params)[1], gold, config, params, grads)
+        backward_bptt(forward(as_input(xs), config, params)[1], gold, config, params, grads)
         expected = params.flat - 0.05 * grads.flat
         sgd_step(params, grads, 0.05)
         assert params.flat.tobytes() == expected.tobytes()
@@ -500,7 +533,7 @@ def test_sgd_rejects_nan_in_active_input_column():
     params, grads = init_params(config, 1), zero_gradients(config)
     rng = np.random.default_rng(7)
     xs, gold = multi_hot(rng, 4, 10, np.arange(5)), rng.integers(0, 3, 4)
-    backward_bptt(forward(xs, config, params)[1], gold, config, params, grads)
+    backward_bptt(forward(as_input(xs), config, params)[1], gold, config, params, grads)
     grads["dense.w"][2, grads.input_columns[-1]] = np.nan
     before = params.flat.copy()
     with pytest.raises(ValueError, match=r"non-finite gradient in dense\.w"):
@@ -521,7 +554,7 @@ def test_training_step_allocates_no_full_width_temporaries():
     grads = zero_gradients(config)
     xs = multi_hot(rng, 7, config.input_dim, np.arange(config.input_dim), per_token=8)
     gold = rng.integers(0, 3, 7)
-    _, cache = forward(xs, config, params)
+    _, cache = forward(as_input(xs), config, params)
     tracemalloc.start()
     try:
         backward_bptt(cache, gold, config, params, grads)
@@ -573,7 +606,7 @@ def test_saturated_perfect_predictions_have_tiny_gradients():
     params["out.b"][1] = 50.0  # saturate towards class 1 for every token
     xs = np.random.default_rng(0).uniform(-1, 1, (3, 4))
     gold = np.array([1, 1, 1])
-    ys, cache = forward(xs, config, params)
+    ys, cache = forward(as_input(xs), config, params)
     assert loss(ys, gold) < 1e-8
     grads = backward_bptt(cache, gold, config, params, zero_gradients(config))
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -663,7 +696,7 @@ def test_training_determinism_bit_exact():
         params, grads = init_params(cfg, 7), zero_gradients(cfg)
         for _ in range(10):
             for x, g in zip(xs, golds):
-                _, cache = forward(x, cfg, params)
+                _, cache = forward(as_input(x), cfg, params)
                 sgd_step(params, backward_bptt(cache, g, cfg, params, grads), 0.01)
         return params
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,27 @@ def make_sentence(words, labels=None):
         tokens.append(Token(w, pos, pos + len(w)))
         pos += len(w) + 1
     return Sentence(tuple(tokens), tuple(labels) if labels else None)
+
+
+def test_training_holds_compact_inputs_not_dense_matrices():
+    # 60 sentences of 10 random 10-letter words: almost every token brings new
+    # trigrams, so the (T, V) matrices of all sentences add up to megabytes,
+    # while a record keeps only the few columns its sentence lights.
+    rng = np.random.default_rng(5)
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    sentences = [
+        make_sentence(["".join(rng.choice(letters, 10)) for _ in range(10)], ["B"] + ["O"] * 9)
+        for _ in range(60)
+    ]
+    tracemalloc.start()
+    try:
+        model = train(sentences, "TRI", "FF", quick_config(epochs=1), dense_size=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense_bytes = sum(len(s.tokens) for s in sentences) * model.config.input_dim * 8
+    assert model.config.input_dim > 4000
+    assert peak < 0.2 * dense_bytes, (peak, dense_bytes)
 
 
 @pytest.fixture(scope="module")
