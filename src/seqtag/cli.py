@@ -16,13 +16,12 @@ import argparse
 import itertools
 import json
 import logging
-import pathlib
 import sys
 import time
 
 from . import synth, tagger
-from .corpus import Corpus, read_bio_column_file, read_standoff, sample_split
-from .corpus import write_bio_column_file
+from .corpus import Corpus, _read_text, read_bio_column_file, read_standoff
+from .corpus import sample_split, write_bio_column_file
 from .encoder import ENCODER_METHODS, load_embeddings
 from .evaluation import evaluate, format_report, report_to_dict
 from .network import VARIANTS, NetworkConfig, gradient_check
@@ -115,7 +114,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if args.text is not None:
         texts = [args.text]
     else:
-        texts = [pathlib.Path(path).read_text(encoding="utf-8") for path in args.input]
+        texts = [_read_text(path) for path in args.input]
     records = []
     for n, text in enumerate(texts):
         doc_id = f"doc{n}"
@@ -168,6 +167,7 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
     """Train all nine encoder x network configurations on one split and
     report macro-averaged BIO2 scores per configuration."""
     run = _run_config(args)
+    training = TrainingConfig(epochs=args.epochs, seed=args.seed)
     corpus = _read_corpus(args)
     available = len(corpus.sentences)
     n_train = args.train_size if args.train_size is not None else available // 2
@@ -189,7 +189,7 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
                 train_sentences,
                 encoder_method=enc,
                 network_variant=variant,
-                training=TrainingConfig(epochs=args.epochs, seed=args.seed),
+                training=training,
                 embeddings=table,
             )
             report = evaluate(model, test_sentences, mode="bio")

@@ -14,17 +14,22 @@ from dataclasses import dataclass, field
 LABELS = ("B", "I", "O")
 LABEL_TO_INDEX = {label: i for i, label in enumerate(LABELS)}
 
-# Characters split off token edges; hyphens and slashes stay in-word so
-# forms like "anti-CD15" survive intact.
-_EDGE_PUNCT = set(".,;:!?()[]\"'")
-
-_SENTENCE_TERMINALS = ".!?"
-
 # Dotted tokens that do not end a sentence even before an uppercase word.
 _ABBREVIATIONS = {
     "dr.", "mr.", "mrs.", "ms.", "prof.", "st.",
     "e.g.", "i.e.", "cf.", "vs.", "fig.", "no.", "u.s.", "u.k.",
 }
+
+# A whitespace chunk that ends in a terminal, capturing the first character
+# after the whitespace that follows it.  The lookbehind anchors each match at
+# a chunk start, so the engine does not retry inside every word.
+_SENTENCE_END = re.compile(r"(?<!\S)\S*[.!?](?=\s+(\S))")
+
+# One edge-punctuation character, or a run from a non-edge character to the
+# last non-edge character of its whitespace chunk.  Hyphens and slashes are
+# not edge punctuation, so forms like "anti-CD15" survive intact.
+_EDGE = re.escape(".,;:!?()[]\"'")
+_TOKEN = re.compile(rf"[{_EDGE}]|[^\s{_EDGE}](?:\S*[^\s{_EDGE}])?")
 
 
 @dataclass(frozen=True)
@@ -159,90 +164,43 @@ def check_non_overlapping(mentions, what: str = "mentions") -> None:
 def split_sentences(text: str) -> list[tuple[int, int]]:
     """Split text into half-open (begin, end) sentence intervals.
 
-    A sentence ends after '.', '!' or '?' followed by whitespace and an
-    uppercase letter or digit, except when the dot terminates a known
-    abbreviation or a single-letter initial.  Intervals are trimmed to the
-    first/last non-whitespace character, so together they cover every
-    non-whitespace character of the input.
+    A sentence ends after '.', '!' or '?' that closes a whitespace chunk and
+    is followed by whitespace and an uppercase character or digit, except
+    when the dot closes a known abbreviation or a one-letter initial such as
+    "A.".  Intervals are trimmed to the first/last non-whitespace character,
+    so together they cover every non-whitespace character of the input.
+    Whitespace is what ``str.isspace`` accepts.
     """
     intervals: list[tuple[int, int]] = []
-    n = len(text)
-    start = _next_non_space(text, 0)
-    while start is not None:
-        boundary = None
-        for j in range(start, n):
-            if text[j] in _SENTENCE_TERMINALS and _boundary_after(text, j):
-                boundary = j + 1
-                break
-        if boundary is None:
-            end = _trimmed_end(text, start)
-            if end > start:
-                intervals.append((start, end))
-            break
-        intervals.append((start, boundary))
-        start = _next_non_space(text, boundary)
+    start = len(text) - len(text.lstrip())
+    for m in _SENTENCE_END.finditer(text):
+        chunk, following = m.group(), m.group(1)
+        if not (following.isupper() or following.isdigit()):
+            continue
+        if chunk[-1] == "." and (
+            chunk.lower() in _ABBREVIATIONS or (len(chunk) == 2 and chunk[0].isalpha())
+        ):
+            continue
+        intervals.append((start, m.end()))
+        start = m.start(1)
+    end = len(text.rstrip())
+    if end > start:
+        intervals.append((start, end))
     return intervals
-
-
-def _next_non_space(text: str, pos: int) -> int | None:
-    for i in range(pos, len(text)):
-        if not text[i].isspace():
-            return i
-    return None
-
-
-def _trimmed_end(text: str, start: int) -> int:
-    end = len(text)
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    return end
-
-
-def _boundary_after(text: str, j: int) -> bool:
-    n = len(text)
-    if j + 1 >= n or not text[j + 1].isspace():
-        return False
-    nxt = _next_non_space(text, j + 1)
-    if nxt is None or not (text[nxt].isupper() or text[nxt].isdigit()):
-        return False
-    if text[j] != ".":
-        return True
-    # Walk back to the start of the chunk containing the dot.
-    w = j
-    while w > 0 and not text[w - 1].isspace():
-        w -= 1
-    chunk = text[w : j + 1]
-    if chunk.lower() in _ABBREVIATIONS:
-        return False
-    letters = chunk[:-1]
-    if len(letters) == 1 and letters.isalpha():
-        return False
-    return True
 
 
 def tokenize(sentence_text: str, sentence_begin: int = 0) -> list[Token]:
     """Tokenize one sentence, producing tokens with absolute offsets.
 
-    Chunks are split on whitespace; leading and trailing punctuation
-    characters become separate single-character tokens, while in-word
-    hyphens and slashes are preserved.
+    Each whitespace chunk yields its leading and trailing edge punctuation
+    (any of ``.,;:!?()[]"'``) as single-character tokens and everything from
+    its first to its last other character as one token, so in-word hyphens,
+    slashes and inner punctuation are preserved.
     """
-    tokens: list[Token] = []
-    for m in re.finditer(r"\S+", sentence_text):
-        chunk = m.group()
-        base = sentence_begin + m.start()
-        left, right = 0, len(chunk)
-        while left < right and chunk[left] in _EDGE_PUNCT:
-            tokens.append(Token(chunk[left], base + left, base + left + 1))
-            left += 1
-        trailing: list[Token] = []
-        while right > left and chunk[right - 1] in _EDGE_PUNCT:
-            trailing.append(Token(chunk[right - 1], base + right - 1, base + right))
-            right -= 1
-        if right > left:
-            tokens.append(Token(chunk[left:right], base + left, base + right))
-        tokens.extend(reversed(trailing))
-    return tokens
+    return [
+        Token(m.group(), sentence_begin + m.start(), sentence_begin + m.end())
+        for m in _TOKEN.finditer(sentence_text)
+    ]
 
 
 def mentions_to_bio2(sentence: Sentence, mentions) -> list[str]:
@@ -276,75 +234,64 @@ def label_runs(labels) -> list[tuple[int, int]]:
     (after O or at position 0) starts a new run: lenient decoding keeps
     orphaned inside-labels instead of dropping them.
     """
-    labels = list(labels)
     runs: list[tuple[int, int]] = []
-    open_at: int | None = None
     for i, label in enumerate(labels):
-        if label == "B":
-            if open_at is not None:
-                runs.append((open_at, i - 1))
-            open_at = i
-        elif label == "I":
-            if open_at is None:
-                open_at = i
-        elif label == "O":
-            if open_at is not None:
-                runs.append((open_at, i - 1))
-                open_at = None
-        else:
+        if label not in LABELS:
             raise ValueError(f"unknown label {label!r}")
-    if open_at is not None:
-        runs.append((open_at, len(labels) - 1))
+        if label == "I" and runs and runs[-1][1] == i - 1:
+            runs[-1] = (runs[-1][0], i)
+        elif label != "O":
+            runs.append((i, i))
     return runs
 
 
 def read_bio_column_file(path) -> Corpus:
     """Read a BIO column file into a Corpus.
 
-    Format: UTF-8, one "token<TAB>label" line per token, blank line between
-    sentences, a line whose first field is "-DOCSTART-" starting a new
-    document.  Document text is reconstructed by joining tokens with single
-    spaces; gold mentions are recovered by inverting the label sequences.
+    Format: UTF-8 (a leading byte order mark is dropped), one
+    "token<TAB>label" line per token, a blank or whitespace-only line
+    between sentences, a line whose first field is "-DOCSTART-" starting a
+    new document.  Empty sentences and documents are dropped.  Document text
+    is reconstructed by joining tokens with single spaces; gold mentions are
+    recovered by inverting the label sequences.
     """
+    docs: list[list[list[tuple[str, str]]]] = [[[]]]
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        fields = line.split("\t")
+        if not line.strip():
+            docs[-1].append([])
+        elif fields[0] == "-DOCSTART-":
+            docs.append([[]])
+        elif len(fields) != 2:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'token<TAB>label', got {line!r}"
+            )
+        elif not fields[0]:
+            raise ValueError(f"{path}:{lineno}: empty token field")
+        elif fields[1] not in LABELS:
+            raise ValueError(f"{path}:{lineno}: unknown label {fields[1]!r}")
+        else:
+            docs[-1][-1].append((fields[0], fields[1]))
     documents: list[Document] = []
-    doc_rows: list[list[tuple[str, str]]] = []
-    sent_rows: list[tuple[str, str]] = []
-
-    def flush_sentence() -> None:
-        nonlocal sent_rows
+    for sent_rows in docs:
+        sent_rows = [rows for rows in sent_rows if rows]
         if sent_rows:
-            doc_rows.append(sent_rows)
-            sent_rows = []
-
-    def flush_document() -> None:
-        nonlocal doc_rows
-        flush_sentence()
-        if doc_rows:
-            documents.append(document_from_rows(f"doc{len(documents)}", doc_rows))
-            doc_rows = []
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                flush_sentence()
-                continue
-            fields = line.split("\t")
-            if fields[0] == "-DOCSTART-":
-                flush_document()
-                continue
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'token<TAB>label', got {line!r}"
-                )
-            token_text, label = fields
-            if not token_text:
-                raise ValueError(f"{path}:{lineno}: empty token field")
-            if label not in LABELS:
-                raise ValueError(f"{path}:{lineno}: unknown label {label!r}")
-            sent_rows.append((token_text, label))
-    flush_document()
+            documents.append(document_from_rows(f"doc{len(documents)}", sent_rows))
     return Corpus(tuple(documents))
+
+
+def _read_text(path) -> str:
+    """A whole UTF-8 text file, a leading byte order mark dropped.
+
+    Line ends are translated as in text-mode iteration (CR LF and a lone CR
+    become LF), so callers split lines on LF only: ``str.splitlines`` would
+    also break at U+0085, U+2028 and U+001C-U+001E.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def document_from_rows(doc_id: str, sent_rows) -> Document:
@@ -393,22 +340,23 @@ def write_bio_column_file(corpus: Corpus, path) -> None:
 def read_standoff(path) -> Corpus:
     """Read standoff-annotated documents into a Corpus.
 
-    Accepted shapes: a JSON array of records, one JSON record per line, or
-    an object with a "documents" array.  Each record carries {doc_id, text,
-    mentions: [{begin, end}]}; offsets are half-open character intervals.
+    Accepted shapes, in UTF-8 with an optional byte order mark: a JSON array
+    of records, one JSON record per line, or an object with a "documents"
+    array.  Each record carries {doc_id, text, mentions: [{begin, end}]};
+    doc_ids are unique and offsets are half-open character intervals.
     Sentences and tokens are produced by split_sentences/tokenize, and gold
     BIO2 labels are attached by projecting the mentions onto the tokens.
     """
-    with open(path, encoding="utf-8") as fh:
-        content = fh.read()
-    records = _standoff_records(content, path)
-    documents = []
+    records = _standoff_records(_read_text(path), path)
+    documents: dict[str, Document] = {}
     for index, record in enumerate(records):
         where = f"{path}: record {index}"
         if not isinstance(record, dict) or not isinstance(record.get("text"), str):
             raise ValueError(f"{where}: expected an object with a string 'text' field")
         text = record["text"]
         doc_id = str(record.get("doc_id", f"doc{index}"))
+        if doc_id in documents:
+            raise ValueError(f"{where}: duplicate doc_id {doc_id!r}")
         raw_mentions = record.get("mentions", [])
         if not isinstance(raw_mentions, list):
             raise ValueError(f"{where}: 'mentions' is not a list")
@@ -433,8 +381,8 @@ def read_standoff(path) -> Corpus:
             sentence = Sentence(tuple(tokens))
             labels = mentions_to_bio2(sentence, mentions)
             sentences.append(Sentence(tuple(tokens), tuple(labels)))
-        documents.append(Document(doc_id, text, tuple(sentences), tuple(mentions)))
-    return Corpus(tuple(documents))
+        documents[doc_id] = Document(doc_id, text, tuple(sentences), tuple(mentions))
+    return Corpus(tuple(documents.values()))
 
 
 def _offset(value) -> int:
@@ -466,7 +414,7 @@ def _standoff_records(content: str, path) -> list:
         raise ValueError(f"{path}: expected JSON records, got {type(obj).__name__}")
     # One JSON record per line.
     records = []
-    for lineno, line in enumerate(stripped.splitlines(), 1):
+    for lineno, line in enumerate(content.split("\n"), 1):
         if not line.strip():
             continue
         try:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import Sentence, _read_text
 
 ENCODER_METHODS = ("DICT", "EMB", "TRI")
 
@@ -119,30 +119,28 @@ def load_embeddings(path) -> EmbeddingTable:
     words: list[str] = []
     rows: list[list[float]] = []
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) < 2:
-                raise ValueError(f"{path}:{lineno}: expected 'word v1 ... vd'")
-            word, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: vector of dimension {len(values)}, "
-                    f"expected {dim}"
-                )
-            try:
-                row = [float(v) for v in values]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric vector component")
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{lineno}: non-finite vector component")
-            rows.append(row)
-            words.append(word)
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) < 2:
+            raise ValueError(f"{path}:{lineno}: expected 'word v1 ... vd'")
+        word, values = fields[0], fields[1:]
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ValueError(
+                f"{path}:{lineno}: vector of dimension {len(values)}, "
+                f"expected {dim}"
+            )
+        try:
+            row = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric vector component")
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: non-finite vector component")
+        rows.append(row)
+        words.append(word)
     if not words:
         raise ValueError(f"{path}: no vectors")
     return EmbeddingTable(words, np.array(rows, dtype=np.float64))

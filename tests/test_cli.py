@@ -187,6 +187,8 @@ MALFORMED_STANDOFF = {
                             "mentions": [{"begin": 0.9, "end": 7.99}]}, "record 0"),
     "boolean offset": ({"text": "Aspirin helps.", "mentions": [{"begin": True, "end": 3}]},
                        "record 0"),
+    "duplicate doc_id": ([{"doc_id": "a", "text": "One."}, {"doc_id": "a", "text": "Two."}],
+                         "record 1: duplicate doc_id 'a'"),
 }
 
 
@@ -206,6 +208,32 @@ def test_malformed_standoff_is_invalid_input(tmp_path, trained_model_path, capsy
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ERROR invalid-input: ") and f"{path}: {where}" in err
+
+
+@pytest.mark.parametrize("reader", ["bio", "standoff", "embeddings", "annotate"])
+def test_non_utf8_input_is_invalid_input_naming_the_file(
+    tmp_path, bio_corpus_path, trained_model_path, capsys, reader
+):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes("zoravium\tB\n".encode("utf-16"))  # starts with ff fe
+    model = str(tmp_path / "m.stm")
+    argv = {
+        "bio": ["train", "--corpus", str(bad), "--model", model],
+        "standoff": [
+            "evaluate", "--format", "standoff", "--corpus", str(bad),
+            "--model", trained_model_path,
+        ],
+        "embeddings": [
+            "train", "--corpus", bio_corpus_path, "--model", model,
+            "--encoder", "EMB", "--embeddings", str(bad),
+        ],
+        "annotate": ["annotate", "--model", trained_model_path, "--input", str(bad)],
+    }[reader]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR invalid-input: {bad}: not UTF-8 text (")
+    assert "0xff in position 0" in err and err.count("\n") == 1
+    assert not pathlib.Path(model).exists()
 
 
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
@@ -388,6 +416,26 @@ def test_compare_configs_rejects_train_size_beyond_corpus(
         )
         assert captured.out == ""
         assert trainings == [] and not report.exists()
+
+
+def test_compare_configs_rejects_zero_epochs_before_reading_the_corpus(
+    tmp_path, bio_corpus_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr("seqtag.cli.train", lambda *a, **k: calls.append("train"))
+    monkeypatch.setattr("seqtag.cli.read_bio_column_file", lambda p: calls.append("read"))
+    report = tmp_path / "grid.json"
+    code = run(
+        [
+            "compare-configs", "--corpus", bio_corpus_path, "--epochs", "0",
+            "--report", str(report),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR invalid-input: epochs must be >= 1\n"
+    assert captured.out == ""
+    assert calls == [] and not report.exists()
 
 
 def test_gradcheck_passes_and_reports_blocks(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtag.corpus import (
+    _ABBREVIATIONS,
     Corpus,
     Document,
     MentionSpan,
@@ -91,6 +92,9 @@ def test_split_two_sentences():
     assert split_sentences(text) == [(0, 10), (11, 22)]
     assert text[0:10] == "It failed."
     assert text[11:22] == "We retried."
+    # U+3000 and U+2028 are whitespace, as str.isspace has it
+    assert split_sentences("It failed.\u3000We retried.") == [(0, 10), (11, 22)]
+    assert split_sentences("It failed.\u2028We retried.") == [(0, 10), (11, 22)]
 
 
 def test_split_respects_abbreviations():
@@ -101,6 +105,9 @@ def test_split_respects_abbreviations():
 
 def test_split_respects_single_letter_initials():
     assert split_sentences("He met A. Smith today.") == [(0, 22)]
+    assert split_sentences("É. X") == [(0, 4)]
+    # U+2168 is a number, not a letter, so "Ⅸ." is no initial
+    assert split_sentences("Ⅸ. X") == [(0, 2), (3, 4)]
 
 
 def test_split_requires_following_capital_or_digit():
@@ -131,6 +138,49 @@ def test_split_covers_non_whitespace(text):
     for i, ch in enumerate(text):
         if not ch.isspace():
             assert i in covered
+
+
+# Characters the two rule tests below draw from: ASCII and Unicode
+# whitespace, terminals and edge punctuation, and characters that str
+# methods class apart (U+2168 "Ⅸ" is not alphabetic, "٣" is a digit).
+RULE_ALPHABET = " \t\n\x85\xa0\u2028\u3000\x1c\x1f.!?,;:()[]\"'aZÉßⅨ٣7_-/"
+EDGE_PUNCT = ".,;:!?()[]\"'"
+
+
+def sentence_end_candidates(text):
+    """Offsets right after '.', '!' or '?' followed by whitespace and then an
+    uppercase character or a digit."""
+    for j, ch in enumerate(text):
+        rest = text[j + 1 :].lstrip()
+        if ch in ".!?" and text[j + 1 : j + 2].isspace() and rest:
+            if rest[0].isupper() or rest[0].isdigit():
+                yield j + 1
+
+
+def ends_abbreviation_or_initial(text, end):
+    begin = end
+    while begin > 0 and not text[begin - 1].isspace():
+        begin -= 1
+    chunk = text[begin:end]
+    return chunk[-1] == "." and (
+        chunk.lower() in _ABBREVIATIONS or (len(chunk) == 2 and chunk[0].isalpha())
+    )
+
+
+SPLIT_PIECES = list(RULE_ALPHABET) + ["Dr.", "e.g.", "U.S.", "A.", "É.", "Ⅸ.", "x."]
+
+
+@given(st.lists(st.sampled_from(SPLIT_PIECES), max_size=30).map("".join))
+@settings(max_examples=300)
+def test_split_ends_sentences_exactly_at_the_boundary_rule(text):
+    intervals = split_sentences(text)
+    candidates = set(sentence_end_candidates(text))
+    for _, end in intervals[:-1]:
+        assert end in candidates
+        assert not ends_abbreviation_or_initial(text, end)
+    for end in candidates:
+        if any(b < end < e for b, e in intervals):
+            assert ends_abbreviation_or_initial(text, end)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +218,36 @@ def test_tokenize_offsets_shift_with_sentence_begin():
 def test_tokenize_slices_match(text):
     for tok in tokenize(text):
         assert text[tok.begin : tok.end] == tok.text
+
+
+def whitespace_chunks(text):
+    """Maximal runs of characters that are not str.isspace, as (begin, end)."""
+    chunks, begin = [], None
+    for i, ch in enumerate(text + " "):
+        if not ch.isspace() and begin is None:
+            begin = i
+        elif ch.isspace() and begin is not None:
+            chunks.append((begin, i))
+            begin = None
+    return chunks
+
+
+@given(st.text(alphabet=RULE_ALPHABET, max_size=60))
+@settings(max_examples=300)
+def test_tokenize_splits_chunks_exactly_at_edge_punctuation(text):
+    tokens = tokenize(text)
+    covered = 0
+    for begin, end in whitespace_chunks(text):
+        inside = [t for t in tokens if begin <= t.begin < end]
+        covered += len(inside)
+        # the chunk's tokens tile it
+        assert [t.begin for t in inside] == [begin] + [t.end for t in inside[:-1]]
+        assert inside[-1].end == end
+        words = [t.text for t in inside if not (len(t.text) == 1 and t.text in EDGE_PUNCT)]
+        assert len(words) <= 1
+        for word in words:
+            assert word[0] not in EDGE_PUNCT and word[-1] not in EDGE_PUNCT
+    assert covered == len(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +327,14 @@ def test_read_bio_wrong_column_count(tmp_path):
     path.write_text("token\tB\textra\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":1"):
         read_bio_column_file(path)
+
+
+def test_read_bio_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.bio"
+    path.write_text("\ufeffzoravium\tB\nhelps\tO\n\n", encoding="utf-8")
+    doc = read_bio_column_file(path).documents[0]
+    assert doc.sentences[0].tokens[0].text == "zoravium"
+    assert doc.text == "zoravium helps"
 
 
 def test_read_bio_docstart_separates_documents(tmp_path):
@@ -336,6 +424,16 @@ def test_read_standoff_json_lines_and_array(tmp_path):
     array = tmp_path / "docs.json"
     array.write_text("[" + record % "a" + "," + record % "b" + "]", encoding="utf-8")
     assert read_standoff(jsonl) == read_standoff(array)
+
+
+def test_read_standoff_json_lines_split_only_at_line_feeds(tmp_path):
+    texts = ["One\u2028thing.", "Two\x85things\x1e."]
+    path = tmp_path / "docs.jsonl"
+    path.write_text(
+        "".join(json.dumps({"text": t}, ensure_ascii=False) + "\n" for t in texts),
+        encoding="utf-8",
+    )
+    assert [d.text for d in read_standoff(path).documents] == texts
 
 
 def test_read_standoff_rejects_overlaps(tmp_path):

@@ -172,6 +172,9 @@ def test_decode_orphan_inside_opens_mention():
     sentence = make_sentence(["aa", "bb", "cc"])
     spans = decode_spans(sentence, ["O", "I", "I"])
     assert spans == [MentionSpan(3, 8)]
+    # an inside label after O opens a mention of its own
+    spans = decode_spans(sentence, ["B", "O", "I"])
+    assert spans == [MentionSpan(0, 2), MentionSpan(6, 8)]
 
 
 def test_decode_length_mismatch():
