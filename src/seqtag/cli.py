@@ -73,6 +73,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     run = _run_config(args)
     if args.encoder == "EMB" and not args.embeddings:
         raise UsageError("encoder EMB requires --embeddings")
+    if args.embeddings and args.encoder != "EMB":
+        raise UsageError(f"--embeddings is read only by encoder EMB, not {args.encoder}")
+    training = TrainingConfig(epochs=args.epochs, seed=args.seed)
     corpus = _read_corpus(args)
     if args.train_size is not None:
         sentences, _ = sample_split(corpus, args.train_size, 0, args.seed)
@@ -84,7 +87,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         sentences,
         encoder_method=args.encoder,
         network_variant=args.network,
-        training=TrainingConfig(epochs=args.epochs, seed=args.seed),
+        training=training,
         embeddings=table,
     )
     elapsed = time.monotonic() - started
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", default="BLSTM", choices=VARIANTS)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--train-size", type=int)
-    p.add_argument("--embeddings", help="embedding text file (required for EMB)")
+    p.add_argument("--embeddings", help="embedding text file (EMB only, and required)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("annotate", help="detect mention spans in raw text")

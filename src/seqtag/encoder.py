@@ -2,11 +2,12 @@
 
 Every encoder fills one dense float row per token, with four surface-form
 flag slots appended after the lexical part; ``encode_sentence`` fills the
-rows of one preallocated sentence matrix.  The lexical encoder turns a
-token into vocabulary keys and sets the slot of each known key to 1.  TRI's
+rows of one preallocated sentence matrix.  The lexical encoder's vocabulary
+is the sorted set of the keys it is built from, key i owning slot i; it
+turns a token into keys and sets the slot of each known key to 1.  TRI's
 keys are the token's letter trigrams (word hashing); DICT's one key is the
 lowercased token, so DICT is the one-key case of TRI.  EMB looks up a
-pretrained vector instead.  Vocabularies and tables are immutable once built;
+pretrained vector instead.  Encoders and tables are immutable once built;
 encoding is a pure function and safe to use concurrently.
 """
 from __future__ import annotations
@@ -78,20 +79,6 @@ def _lexical_keys(method: str, token_text: str) -> list[str]:
     return [token_text.lower()]
 
 
-class Vocabulary:
-    """Sorted-set key -> index map: the i-th smallest distinct key gets index i."""
-
-    def __init__(self, keys: Iterable[str]):
-        self.keys = sorted(dict.fromkeys(keys))  # linear on already sorted keys
-        if not self.keys:
-            raise ValueError("empty vocabulary")
-        self.index = {k: i for i, k in enumerate(self.keys)}
-
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
-
 class EmbeddingTable:
     """Pretrained word vectors of one fixed dimension; misses yield zeros."""
 
@@ -154,21 +141,7 @@ def write_embeddings_file(path, words: list[str], vectors: np.ndarray) -> None:
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
-class TokenEncoder:
-    """Maps a token to a ``dim``-wide vector by filling one zeroed row."""
-
-    dim: int
-
-    def fill_row(self, token_text: str, row: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def encode(self, token_text: str) -> np.ndarray:
-        row = np.zeros(self.dim)
-        self.fill_row(token_text, row)
-        return row
-
-
-class EmbeddingEncoder(TokenEncoder):
+class EmbeddingEncoder:
     """Pretrained embedding lookup; unseen words map to the zero vector."""
 
     method = "EMB"
@@ -185,29 +158,35 @@ class EmbeddingEncoder(TokenEncoder):
         row[-N_FLAGS:] = surface_flags(token_text)
 
 
-class LexicalEncoder(TokenEncoder):
+class LexicalEncoder:
     """Multi-hot encoding over a key vocabulary, slot values clipped to {0, 1}.
 
-    A TRI token's keys are its letter trigrams; a DICT token's one key is its
-    lowercased text.  Keys unseen at vocabulary-build time are skipped, so a
-    novel or misspelled word still lights up every trigram slot it shares
-    with the training vocabulary, while under DICT it lights up none.
+    The vocabulary is the sorted set of the given keys: the i-th smallest
+    distinct key owns slot i.  A TRI token's keys are its letter trigrams; a
+    DICT token's one key is its lowercased text.  Keys outside the
+    vocabulary are skipped, so a novel or misspelled word still lights up
+    every trigram slot it shares with the training vocabulary, while under
+    DICT it lights up none.
     """
 
-    def __init__(self, method: str, vocab: Vocabulary):
+    def __init__(self, method: str, keys: Iterable[str]):
         self.method = method
-        self.vocab = vocab
-
-    @property
-    def dim(self) -> int:
-        return self.vocab.size + N_FLAGS
+        self.keys = sorted(dict.fromkeys(keys))  # linear on already sorted keys
+        if not self.keys:
+            raise ValueError("empty vocabulary")
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.dim = len(self.keys) + N_FLAGS
 
     def fill_row(self, token_text: str, row: np.ndarray) -> None:
         for key in _lexical_keys(self.method, token_text):
-            i = self.vocab.index.get(key)
+            i = self.index.get(key)
             if i is not None:
                 row[i] = 1.0
         row[-N_FLAGS:] = surface_flags(token_text)
+
+
+# What a model encodes its tokens with; both fill one zeroed ``dim``-wide row.
+TokenEncoder = LexicalEncoder | EmbeddingEncoder
 
 
 def build_encoder(
@@ -222,7 +201,7 @@ def build_encoder(
             raise ValueError(f"{method} encoder needs training sentences")
         texts = (tok.text for sentence in train_sentences for tok in sentence.tokens)
         keys = (key for text in texts for key in _lexical_keys(method, text))
-        return LexicalEncoder(method, Vocabulary(keys))
+        return LexicalEncoder(method, keys)
     if method == "EMB":
         if table is None:
             raise ValueError("EMB encoder needs a loaded embedding table")

@@ -108,7 +108,8 @@ def macro_bio(predicted_seqs, gold_seqs) -> BioReport:
     Inputs are aligned per-sentence label sequences.  A class absent from
     both gold and prediction contributes precision = recall = 1; a class
     absent from one side only scores 0 on the undefined ratio.  Macro F1 is
-    the harmonic mean of macro precision and macro recall.
+    the harmonic mean of macro precision and macro recall.  A label other
+    than B, I or O is a ValueError naming the label and its sentence.
     """
     predicted_seqs = [list(seq) for seq in predicted_seqs]
     gold_seqs = [list(seq) for seq in gold_seqs]
@@ -123,12 +124,15 @@ def macro_bio(predicted_seqs, gold_seqs) -> BioReport:
             raise ValueError(
                 f"sentence {n}: {len(pred)} predicted labels for {len(gold)} gold"
             )
-        for p, g in zip(pred, gold):
-            if p == g:
-                counts[p][0] += 1
-            else:
-                counts[p][1] += 1
-                counts[g][2] += 1
+        try:
+            for p, g in zip(pred, gold):
+                if p == g:
+                    counts[p][0] += 1
+                else:
+                    counts[p][1] += 1
+                    counts[g][2] += 1
+        except KeyError as exc:
+            raise ValueError(f"sentence {n}: label {exc.args[0]!r} is not B, I or O") from None
 
     per_class: dict[str, Counts] = {}
     precisions = []

@@ -238,16 +238,13 @@ def _input_backward(prefix, cache, dout, grads):
     grads.input_columns = cols
 
 
-def lstm_forward(
-    params: Params, prefix: str, xs: np.ndarray, reverse: bool = False
-) -> tuple[np.ndarray, dict]:
-    """Run one LSTM direction over a (T, ..., in_dim) sequence.
+def lstm_forward(params: Params, prefix: str, xs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Run one LSTM direction over a (T, ..., in_dim) sequence, row 0 first.
 
     A (T, in_dim) sentence and a (T, B, in_dim) batch of B sentences of one
-    length run the same lines; no sentence reads another's values.
-    Returns hidden states aligned with the original positions; with
-    ``reverse=True`` the sequence is processed back to front and the states
-    re-reversed before returning.  The input projection is one product over
+    length run the same lines; no sentence reads another's values.  Returns
+    the (T, ..., cells) hidden states; a backward direction runs on the
+    reversed view ``xs[::-1]``.  The input projection is one product over
     the sequence, with its gate columns and the gate rows of ``wh`` halved.
     Each step adds the recurrent term to its row of the activation block
     ``act`` (candidate, input, forget, output), runs one ``tanh`` over it in
@@ -256,8 +253,6 @@ def lstm_forward(
     ``state`` and ``hidden`` are (T+1, ..., cells) with a zero first row, so
     a step's previous values are the row above.
     """
-    if reverse:
-        xs = xs[::-1]
     T, cells = xs.shape[0], params.fused[f"{prefix}.wh"].shape[1]
     half = np.where(np.arange(4 * cells) < cells, 1.0, 0.5)
     # A transposed view: for one sentence, h @ wh_t is the BLAS call of wh @ h.
@@ -273,8 +268,8 @@ def lstm_forward(
         np.tanh(cand[t] * g_in[t] + state[t] * g_forget[t], out=state[t + 1])
         np.multiply(state[t + 1], g_out[t], out=hidden[t + 1])
 
-    cache = {"xs": xs, "act": act, "state": state, "hidden": hidden, "reverse": reverse}
-    return (hidden[:0:-1] if reverse else hidden[1:]), cache
+    cache = {"xs": xs, "act": act, "state": state, "hidden": hidden}
+    return hidden[1:], cache
 
 
 def lstm_backward(params, prefix, cache, dhidden, grads):
@@ -285,8 +280,6 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
     (the hidden gradient for the output gate).  The factors are computed
     first; per step run only the ``dh``/``ds`` chain and ``wh.T @ da``.
     """
-    if cache["reverse"]:
-        dhidden = dhidden[::-1]
     act, state = cache["act"], cache["state"]
     T, cells = dhidden.shape
     cand, g_in, g_forget, g_out = (act[:, k * cells : (k + 1) * cells] for k in range(4))
@@ -309,8 +302,7 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
     grads.fused[f"{prefix}.wx"][...] = da_all.T @ cache["xs"]
     grads.fused[f"{prefix}.wh"][...] = da_all.T @ cache["hidden"][:-1]
     grads.fused[f"{prefix}.b"][...] = da_all.sum(axis=0)
-    dxs = da_all @ params.fused[f"{prefix}.wx"]
-    return dxs[::-1] if cache["reverse"] else dxs
+    return da_all @ params.fused[f"{prefix}.wx"]
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +340,8 @@ def _upper_forward(h, config: NetworkConfig, params: Params, cache: dict):
         top, cache["lstm2"] = lstm_forward(params, "lstm2", h1)
     else:  # BLSTM
         h_fwd, cache["fwd"] = lstm_forward(params, "fwd", h)
-        h_bwd, cache["bwd"] = lstm_forward(params, "bwd", h, reverse=True)
-        both = np.concatenate([h_fwd, h_bwd], axis=-1)
+        h_bwd, cache["bwd"] = lstm_forward(params, "bwd", h[::-1])  # runs back to front
+        both = np.concatenate([h_fwd, h_bwd[::-1]], axis=-1)
         top, cache["decoder"] = lstm_forward(params, "decoder", both)
     cache["top"] = top
     cache["ys"] = softmax_rows(top @ params["out.w"].T + params["out.b"])
@@ -407,7 +399,7 @@ def backward_bptt(
         dboth = lstm_backward(params, "decoder", cache["decoder"], dtop, grads)
         cells = config.lstm_cells
         dh0 = lstm_backward(params, "fwd", cache["fwd"], dboth[:, :cells], grads)
-        dh0 += lstm_backward(params, "bwd", cache["bwd"], dboth[:, cells:], grads)
+        dh0 += lstm_backward(params, "bwd", cache["bwd"], dboth[::-1, cells:], grads)[::-1]
         _input_backward("dense", cache["dense"], dh0, grads)
     return grads
 

@@ -21,7 +21,6 @@ from .encoder import (
     EmbeddingTable,
     LexicalEncoder,
     TokenEncoder,
-    Vocabulary,
     build_encoder,
     encode_sentence,
 )
@@ -221,7 +220,7 @@ def _encoder_header(encoder: TokenEncoder) -> dict:
     key = _VOCABULARY_KEY[encoder.method]
     if encoder.method == "EMB":
         return {"method": "EMB", key: encoder.table.words, "dim": encoder.table.dim}
-    return {"method": encoder.method, key: encoder.vocab.keys}
+    return {"method": encoder.method, key: encoder.keys}
 
 
 def save_model(model: TaggerModel, path, meta: dict | None = None) -> None:
@@ -333,7 +332,9 @@ def load_model(path) -> TaggerModel:
     if method == "EMB":
         encoder = EmbeddingEncoder(EmbeddingTable(vocabulary, vectors))
     else:
-        encoder = LexicalEncoder(method, Vocabulary(vocabulary))
+        encoder = LexicalEncoder(method, vocabulary)
+        if encoder.keys != vocabulary:  # slot i must be the key its weights learned
+            raise ValueError(f"{path}: {_VOCABULARY_KEY[method]} are not sorted and distinct")
     if encoder.dim != config.input_dim:
         raise ValueError(
             f"{path}: encoder dimension {encoder.dim} does not match "

@@ -26,7 +26,7 @@ from seqtag.encoder import (
     EmbeddingEncoder,
     EmbeddingTable,
     LexicalEncoder,
-    Vocabulary,
+    encode_sentence,
     write_embeddings_file,
 )
 from seqtag.evaluation import count_document, evaluate, micro_scores
@@ -196,6 +196,15 @@ def _random_word(rng):
     )
 
 
+def _encode_words(encoder, *words):
+    """The encode_sentence rows of the words, one token each."""
+    tokens, pos = [], 0
+    for word in words:
+        tokens.append(Token(word, pos, pos + len(word)))
+        pos += len(word) + 1
+    return encode_sentence(encoder, Sentence(tuple(tokens)))
+
+
 def test_encoder_robustness_10000_pairs():
     rng = random.Random(7)
     pairs = []
@@ -210,24 +219,22 @@ def test_encoder_robustness_10000_pairs():
     for a, b in pairs:
         all_trigrams.update(extract_trigrams(a))
         all_trigrams.update(extract_trigrams(b))
-    vocab = Vocabulary(all_trigrams)
-    enc = LexicalEncoder("TRI", vocab)
-    n = vocab.size
+    enc = LexicalEncoder("TRI", all_trigrams)
+    n = len(enc.keys)
     for a, b in pairs:
         case_variant = a.upper() if rng.random() < 0.5 else a.capitalize()
-        va, vcase = enc.encode(a), enc.encode(case_variant)
+        va, vcase, vb = _encode_words(enc, a, case_variant, b)
         assert np.array_equal(va[:n], vcase[:n])  # flags-only difference
-        vb = enc.encode(b)
         assert int(np.sum(va[:n] != vb[:n])) <= 6  # single-substitution locality
     report("encoder robustness", "case + locality on 10000 pairs")
 
 
 def test_encoder_unseen_word_zero_vectors():
-    word_vocab = Vocabulary(["alpha", "beta"])
-    dict_vec = LexicalEncoder("DICT", word_vocab).encode("gamma")
-    assert not dict_vec[: word_vocab.size].any()
+    dict_enc = LexicalEncoder("DICT", ["alpha", "beta"])
+    dict_vec = _encode_words(dict_enc, "gamma")[0]
+    assert not dict_vec[: len(dict_enc.keys)].any()
     table = EmbeddingTable(["alpha"], np.ones((1, 4)))
-    emb_vec = EmbeddingEncoder(table).encode("gamma")
+    emb_vec = _encode_words(EmbeddingEncoder(table), "gamma")[0]
     assert not emb_vec[:4].any()
     report("unseen-word zero vectors", "DICT and EMB")
 

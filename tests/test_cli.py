@@ -74,6 +74,21 @@ def test_train_emb_without_embeddings_is_usage_error(tmp_path, bio_corpus_path, 
     assert "ERROR usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("encoder", ["TRI", "DICT"])
+def test_train_embeddings_without_emb_is_usage_error(tmp_path, bio_corpus_path, capsys, encoder):
+    model_path = tmp_path / "m.stm"
+    code = run(
+        [
+            "train", "--corpus", bio_corpus_path, "--model", str(model_path),
+            "--encoder", encoder, "--embeddings", str(tmp_path / "missing.txt"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"ERROR usage: --embeddings is read only by encoder EMB, not {encoder}\n"
+    assert not model_path.exists()
+
+
 def test_train_rejects_report_flag(tmp_path, bio_corpus_path, capsys):
     model_path = tmp_path / "m.stm"
     code = run(
@@ -418,24 +433,25 @@ def test_compare_configs_rejects_train_size_beyond_corpus(
         assert trainings == [] and not report.exists()
 
 
-def test_compare_configs_rejects_zero_epochs_before_reading_the_corpus(
-    tmp_path, bio_corpus_path, capsys, monkeypatch
+@pytest.mark.parametrize("command", ["compare-configs", "train"])
+def test_zero_epochs_rejected_before_reading_the_corpus(
+    tmp_path, bio_corpus_path, capsys, monkeypatch, command
 ):
     calls = []
     monkeypatch.setattr("seqtag.cli.train", lambda *a, **k: calls.append("train"))
     monkeypatch.setattr("seqtag.cli.read_bio_column_file", lambda p: calls.append("read"))
-    report = tmp_path / "grid.json"
-    code = run(
-        [
-            "compare-configs", "--corpus", bio_corpus_path, "--epochs", "0",
-            "--report", str(report),
-        ]
-    )
+    out = tmp_path / "out"
+    flags = {
+        "compare-configs": ["--report", str(out)],
+        "train": ["--model", str(out), "--encoder", "EMB",
+                  "--embeddings", str(tmp_path / "missing.txt")],
+    }[command]
+    code = run([command, "--corpus", bio_corpus_path, "--epochs", "0", *flags])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == "ERROR invalid-input: epochs must be >= 1\n"
     assert captured.out == ""
-    assert calls == [] and not report.exists()
+    assert calls == [] and not out.exists()
 
 
 def test_gradcheck_passes_and_reports_blocks(tmp_path, capsys):

@@ -11,8 +11,8 @@ from seqtag.encoder import (
     N_FLAGS,
     EmbeddingEncoder,
     EmbeddingTable,
+    LexicalEncoder,
     SurfaceFlags,
-    Vocabulary,
     build_encoder,
     encode_sentence,
     extract_trigrams,
@@ -29,6 +29,12 @@ def sentence_of(*words):
         tokens.append(Token(w, pos, pos + len(w)))
         pos += len(w) + 1
     return Sentence(tuple(tokens))
+
+
+def encode_token(encoder, text):
+    row = np.zeros(encoder.dim)
+    encoder.fill_row(text, row)
+    return row
 
 
 def flags_tuple(text):
@@ -72,7 +78,7 @@ def test_flag_slots_hold_surface_flags_in_layout_order():
     encoder = build_encoder("TRI", [sentence_of(*words)])
     for word in words:
         flags = [float(bit) for bit in surface_flags(word)]
-        assert encoder.encode(word)[-N_FLAGS:].tolist() == flags
+        assert encode_token(encoder, word)[-N_FLAGS:].tolist() == flags
 
 
 @given(st.text(max_size=12))
@@ -107,26 +113,26 @@ def test_trigrams_empty_token():
 
 
 def test_trigram_vocab_enumeration():
-    vocab = build_encoder("TRI", [sentence_of("aa")]).vocab
-    assert sorted(vocab.index) == ["#aa", "aa#"]
-    assert vocab.size == 2
+    enc = build_encoder("TRI", [sentence_of("aa")])
+    assert sorted(enc.index) == ["#aa", "aa#"]
+    assert len(enc.keys) == 2
 
 
 def test_trigram_vocab_deterministic_and_set_like():
-    a = build_encoder("TRI", [sentence_of("ab", "ab")]).vocab
-    b = build_encoder("TRI", [sentence_of("ab")]).vocab
+    a = build_encoder("TRI", [sentence_of("ab", "ab")])
+    b = build_encoder("TRI", [sentence_of("ab")])
     assert a.index == b.index
 
 
 def test_trigram_vocab_lexicographic_indices():
-    vocab = Vocabulary(["zzz", "aaa", "mmm"])
-    assert vocab.index == {"aaa": 0, "mmm": 1, "zzz": 2}
-    assert vocab.keys == ["aaa", "mmm", "zzz"]
+    enc = LexicalEncoder("TRI", ["zzz", "aaa", "mmm"])
+    assert enc.index == {"aaa": 0, "mmm": 1, "zzz": 2}
+    assert enc.keys == ["aaa", "mmm", "zzz"]
 
 
 def test_trigram_vocab_rejects_empty():
     with pytest.raises(ValueError):
-        Vocabulary([])
+        LexicalEncoder("TRI", [])
 
 
 # ---------------------------------------------------------------------------
@@ -135,41 +141,40 @@ def test_trigram_vocab_rejects_empty():
 
 def test_tri_encodes_fig_token():
     enc = build_encoder("TRI", [sentence_of("Aspirin")])
-    vocab = enc.vocab
-    vec = enc.encode("Aspirin")
-    assert vec.shape == (vocab.size + N_FLAGS,)
-    assert vec[: vocab.size].sum() == 7  # 7 distinct trigrams
-    assert list(vec[vocab.size :]) == [1.0, 0.0, 0.0, 0.0]  # initial capital
+    n_keys = len(enc.keys)
+    vec = encode_token(enc, "Aspirin")
+    assert vec.shape == (n_keys + N_FLAGS,)
+    assert vec[:n_keys].sum() == 7  # 7 distinct trigrams
+    assert list(vec[n_keys:]) == [1.0, 0.0, 0.0, 0.0]  # initial capital
 
 
 def test_tri_multi_hot_clipped_to_one():
     enc = build_encoder("TRI", [sentence_of("aaaa")])
-    vocab = enc.vocab
-    vec = enc.encode("aaaa")
-    assert set(vec[: vocab.size]) <= {0.0, 1.0}
+    n_keys = len(enc.keys)
+    vec = encode_token(enc, "aaaa")
+    assert set(vec[:n_keys]) <= {0.0, 1.0}
 
 
 def test_dict_unseen_word_zero_with_flags():
     enc = build_encoder("DICT", [sentence_of("strengthened", "effect")])
-    vocab = enc.vocab
-    vec = enc.encode("strengthnend")  # misspelled: not in the vocabulary
-    assert not vec[: vocab.size].any()
-    assert vec[vocab.size + 2] == 1.0  # all-lowercase flag survives
+    n_keys = len(enc.keys)
+    vec = encode_token(enc, "strengthnend")  # misspelled: not in the vocabulary
+    assert not vec[:n_keys].any()
+    assert vec[n_keys + 2] == 1.0  # all-lowercase flag survives
 
 
 def test_dict_is_lowercased_one_hot():
     enc = build_encoder("DICT", [sentence_of("Aspirin")])
-    vocab = enc.vocab
-    assert enc.encode("aspirin")[vocab.index["aspirin"]] == 1.0
-    assert enc.encode("ASPIRIN")[vocab.index["aspirin"]] == 1.0
+    assert encode_token(enc, "aspirin")[enc.index["aspirin"]] == 1.0
+    assert encode_token(enc, "ASPIRIN")[enc.index["aspirin"]] == 1.0
 
 
 def test_emb_missing_word_zero_and_counted():
     table = EmbeddingTable(["alpha", "beta"], np.arange(6.0).reshape(2, 3))
     enc = EmbeddingEncoder(table)
-    vec = enc.encode("gamma")
+    vec = encode_token(enc, "gamma")
     assert not vec[:3].any()
-    assert list(enc.encode("beta")[:3]) == [3.0, 4.0, 5.0]
+    assert list(encode_token(enc, "beta")[:3]) == [3.0, 4.0, 5.0]
 
 
 def test_build_encoder_validates():
@@ -189,7 +194,7 @@ def test_encode_sentence_shape_and_empty():
         mat = encode_sentence(enc, sentence)
         assert mat.shape == (6, enc.dim) and mat.dtype == np.float64
         for tok, row in zip(sentence.tokens, mat):
-            assert row.tobytes() == enc.encode(tok.text).tobytes(), (enc.method, tok.text)
+            assert row.tobytes() == encode_token(enc, tok.text).tobytes(), (enc.method, tok.text)
         assert encode_sentence(enc, Sentence(())).shape == (0, enc.dim)
 
 
@@ -246,9 +251,9 @@ _words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12)
 @settings(max_examples=400)
 def test_tri_case_robustness(word):
     enc = build_encoder("TRI", [sentence_of(word.lower())])
-    vocab = enc.vocab
-    upper, lower = enc.encode(word), enc.encode(word.lower())
-    assert np.array_equal(upper[: vocab.size], lower[: vocab.size])
+    n_keys = len(enc.keys)
+    upper, lower = encode_token(enc, word), encode_token(enc, word.lower())
+    assert np.array_equal(upper[:n_keys], lower[:n_keys])
 
 
 @given(_words.filter(lambda w: len(w) >= 2), st.data())
@@ -258,13 +263,13 @@ def test_tri_single_substitution_locality(word, data):
     repl = data.draw(st.sampled_from("abcdefghijklmnopqrstuvwxyz"))
     other = word[:pos] + repl + word[pos + 1 :]
     enc = build_encoder("TRI", [sentence_of(word, other)])
-    vocab = enc.vocab
-    a, b = enc.encode(word), enc.encode(other)
-    changed = int(np.sum(a[: vocab.size] != b[: vocab.size]))
+    n_keys = len(enc.keys)
+    a, b = encode_token(enc, word), encode_token(enc, other)
+    changed = int(np.sum(a[:n_keys] != b[:n_keys]))
     assert changed <= 6  # at most 3 trigrams removed and 3 added
 
 
 def test_dimension_constant_across_tokens():
     enc = build_encoder("TRI", [sentence_of("alpha", "beta", "Gamma-7")])
-    dims = {enc.encode(w).shape for w in ["alpha", "UNSEEN", "x", ""]}
+    dims = {encode_token(enc, w).shape for w in ["alpha", "UNSEEN", "x", ""]}
     assert dims == {(enc.dim,)}

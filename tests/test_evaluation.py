@@ -200,6 +200,10 @@ def test_macro_length_mismatch():
         macro_bio([["O", "O"]], [["O"]])
     with pytest.raises(ValueError):
         macro_bio([["O"], ["O"]], [["O"]])
+    with pytest.raises(ValueError, match="sentence 0: label 'X' is not B, I or O"):
+        macro_bio([["X"]], [["O"]])
+    with pytest.raises(ValueError, match="sentence 1: label 'Y'"):
+        macro_bio([["O"], ["O"]], [["O"], ["Y"]])
 
 
 @given(

@@ -96,23 +96,25 @@ def test_lstm_single_step_has_no_recurrence():
 
 def test_lstm_backward_direction_realigns_states():
     rng = np.random.default_rng(3)
-    cfg = NetworkConfig("LSTM", input_dim=4, dense_size=5, lstm_cells=3)
+    cfg = NetworkConfig("BLSTM", input_dim=4, dense_size=5, lstm_cells=3)
     params = init_params(cfg, 1)
-    xs = rng.uniform(-1, 1, (5, 5))
-    fwd_rev, _ = lstm_forward(params, "lstm1", xs, reverse=True)
-    fwd_on_reversed, _ = lstm_forward(params, "lstm1", xs[::-1])
-    assert np.allclose(fwd_rev, fwd_on_reversed[::-1])
+    _, cache = forward(sentence_input(rng.uniform(-1, 1, (5, 4)), 4), cfg, params)
+    h = np.maximum(cache["dense"]["pre"], 0.0)
+    h_fwd, _ = lstm_forward(params, "fwd", h)
+    h_bwd, _ = lstm_forward(params, "bwd", h[::-1])
+    both = np.concatenate([h_fwd, h_bwd[::-1]], axis=1)
+    # The last token's backward state is the first step of the backward run.
+    assert np.allclose(both[-1, 3:], lstm_forward(params, "bwd", h[-1:])[0][0])
+    assert np.allclose(cache["top"], lstm_forward(params, "decoder", both)[0])
 
 
 # ---------------------------------------------------------------------------
 # the recurrence against a plain per-gate reference
 
 
-def reference_lstm_forward(params, prefix, xs, reverse=False):
+def reference_lstm_forward(params, prefix, xs):
     """Step-by-step LSTM with one array per gate and explicit previous
     states; the gates are 0.5 * (tanh(0.5 * a) + 1), the logistic sigmoid."""
-    if reverse:
-        xs = xs[::-1]
     T = xs.shape[0]
     wh_all = params.fused[f"{prefix}.wh"]
     cells = wh_all.shape[1]
@@ -133,15 +135,12 @@ def reference_lstm_forward(params, prefix, xs, reverse=False):
         g_out = cache["gate_out"][t] = gates[2 * cells :]
         s = cache["state"][t] = np.tanh(cand * g_in + s * g_forget)
         h = cache["hidden"][t] = s * g_out
-    cache.update(xs=xs, reverse=reverse)
-    hidden = cache["hidden"]
-    return (hidden[::-1] if reverse else hidden), cache
+    cache["xs"] = xs
+    return cache["hidden"], cache
 
 
 def reference_lstm_backward(params, prefix, cache, dhidden, grads):
     """Per-gate BPTT through ``reference_lstm_forward``."""
-    if cache["reverse"]:
-        dhidden = dhidden[::-1]
     T, cells = dhidden.shape
     wh_all = params.fused[f"{prefix}.wh"]
     da_all = np.zeros((T, 4 * cells))
@@ -168,12 +167,11 @@ def reference_lstm_backward(params, prefix, cache, dhidden, grads):
     grads.fused[f"{prefix}.wx"][...] = da_all.T @ cache["xs"]
     grads.fused[f"{prefix}.wh"][...] = da_all.T @ cache["hidden_prev"]
     grads.fused[f"{prefix}.b"][...] = da_all.sum(axis=0)
-    dxs = da_all @ params.fused[f"{prefix}.wx"]
-    return dxs[::-1] if cache["reverse"] else dxs
+    return da_all @ params.fused[f"{prefix}.wx"]
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 7, 30])
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])  # True: on the views xs[::-1], dhidden[::-1]
 @pytest.mark.parametrize("prefix", ["fwd", "decoder"])  # input width 150, 2 * cells
 def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix):
     config = NetworkConfig("BLSTM", input_dim=4, dense_size=150, lstm_cells=20)
@@ -182,10 +180,12 @@ def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix):
     in_dim = params.fused[f"{prefix}.wx"].shape[1]
     xs = rng.uniform(-2, 2, (length, in_dim))
     dhidden = rng.normal(size=(length, 20))
+    if reverse:
+        xs, dhidden = xs[::-1], dhidden[::-1]
 
-    hidden, cache = lstm_forward(params, prefix, xs, reverse)
-    ref_hidden, ref_cache = reference_lstm_forward(params, prefix, xs, reverse)
-    assert sorted(cache) == ["act", "hidden", "reverse", "state", "xs"]
+    hidden, cache = lstm_forward(params, prefix, xs)
+    ref_hidden, ref_cache = reference_lstm_forward(params, prefix, xs)
+    assert sorted(cache) == ["act", "hidden", "state", "xs"]
     assert np.array_equal(hidden, ref_hidden)
     assert np.array_equal(cache["state"][1:], ref_cache["state"])
 
@@ -200,16 +200,18 @@ def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix):
 
 @pytest.mark.parametrize("length", [0, 1, 7])
 @pytest.mark.parametrize("batch", [1, 5])
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])  # True: on the view xs[::-1]
 def test_lstm_batch_axis_matches_one_sentence_at_a_time(length, batch, reverse):
     config = NetworkConfig("BLSTM", input_dim=4, dense_size=150, lstm_cells=20)
     params = init_params(config, 3)
     xs = np.random.default_rng(length + batch).uniform(-2, 2, (length, batch, 150))
-    hidden, cache = lstm_forward(params, "fwd", xs, reverse)
+    if reverse:
+        xs = xs[::-1]
+    hidden, cache = lstm_forward(params, "fwd", xs)
     assert hidden.shape == (length, batch, 20)
     assert cache["state"].shape == cache["hidden"].shape == (length + 1, batch, 20)
     for b in range(batch):
-        alone, _ = lstm_forward(params, "fwd", xs[:, b], reverse)
+        alone, _ = lstm_forward(params, "fwd", xs[:, b])
         np.testing.assert_allclose(hidden[:, b], alone, rtol=0, atol=1e-12)
 
 

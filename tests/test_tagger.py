@@ -318,6 +318,7 @@ CRAFTED_HEADERS = {
     "zero n_classes": lambda h: _set(h, "network", "n_classes", 0),
     "no encoder section": lambda h: {k: v for k, v in h.items() if k != "encoder"},
     "trigrams not strings": lambda h: _set(h, "encoder", "trigrams", [1, 2]),
+    "trigrams out of order": lambda h: _set(h, "encoder", "trigrams", h["encoder"]["trigrams"][::-1]),
     "unhashable method": lambda h: _set(h, "encoder", "method", ["TRI"]),
     "swapped tensor shape": lambda h: _swap_shape(h, "fwd.wx_c"),  # [4, 12] -> [12, 4]
     "missing tensor": lambda h: {**h, "tensors": h["tensors"][:-1]},
