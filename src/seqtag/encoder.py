@@ -6,9 +6,9 @@ rows of one preallocated sentence matrix.  The lexical encoder's vocabulary
 is the sorted set of the keys it is built from, key i owning slot i; it
 turns a token into keys and sets the slot of each known key to 1.  TRI's
 keys are the token's letter trigrams (word hashing); DICT's one key is the
-lowercased token, so DICT is the one-key case of TRI.  EMB looks up a
-pretrained vector instead.  Encoders and tables are immutable once built;
-encoding is a pure function and safe to use concurrently.
+lowercased token, so DICT is the one-key case of TRI.  The EMB encoder is
+its embedding table, looked up by the token's exact text.  Encoders are
+immutable once built; encoding is a pure function, safe to use concurrently.
 """
 from __future__ import annotations
 
@@ -80,7 +80,11 @@ def _lexical_keys(method: str, token_text: str) -> list[str]:
 
 
 class EmbeddingTable:
-    """Pretrained word vectors of one fixed dimension; misses yield zeros."""
+    """The EMB encoder: pretrained vectors of distinct words, one fixed width.
+    A token fills its row with the vector of the word that is exactly its
+    text; a token matching no word leaves the vector slots zero."""
+
+    method = "EMB"
 
     def __init__(self, words: list[str], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -89,16 +93,16 @@ class EmbeddingTable:
         self.words = list(words)
         self.vectors = vectors
         self.index = {w: i for i, w in enumerate(self.words)}
+        if len(self.index) < len(self.words):  # the index kept a repeat's last row
+            word = next(w for i, w in enumerate(self.words) if self.index[w] != i)
+            raise ValueError(f"word {word!r} appears more than once")
+        self.dim = vectors.shape[1] + N_FLAGS
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def lookup(self, word: str) -> np.ndarray:
-        i = self.index.get(word)
-        if i is None:
-            return np.zeros(self.dim)
-        return self.vectors[i]
+    def fill_row(self, token_text: str, row: np.ndarray) -> None:
+        i = self.index.get(token_text)
+        if i is not None:
+            row[:-N_FLAGS] = self.vectors[i]
+        row[-N_FLAGS:] = surface_flags(token_text)
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -130,32 +134,10 @@ def load_embeddings(path) -> EmbeddingTable:
         words.append(word)
     if not words:
         raise ValueError(f"{path}: no vectors")
-    return EmbeddingTable(words, np.array(rows, dtype=np.float64))
-
-
-def write_embeddings_file(path, words: list[str], vectors: np.ndarray) -> None:
-    """Write vectors in the text format accepted by load_embeddings."""
-    vectors = np.asarray(vectors)
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, row in zip(words, vectors):
-            fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-class EmbeddingEncoder:
-    """Pretrained embedding lookup; unseen words map to the zero vector."""
-
-    method = "EMB"
-
-    def __init__(self, table: EmbeddingTable):
-        self.table = table
-
-    @property
-    def dim(self) -> int:
-        return self.table.dim + N_FLAGS
-
-    def fill_row(self, token_text: str, row: np.ndarray) -> None:
-        row[: self.table.dim] = self.table.lookup(token_text)
-        row[-N_FLAGS:] = surface_flags(token_text)
+    try:
+        return EmbeddingTable(words, np.array(rows, dtype=np.float64))
+    except ValueError as exc:  # a repeated word
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 class LexicalEncoder:
@@ -186,7 +168,7 @@ class LexicalEncoder:
 
 
 # What a model encodes its tokens with; both fill one zeroed ``dim``-wide row.
-TokenEncoder = LexicalEncoder | EmbeddingEncoder
+TokenEncoder = LexicalEncoder | EmbeddingTable
 
 
 def build_encoder(
@@ -205,7 +187,7 @@ def build_encoder(
     if method == "EMB":
         if table is None:
             raise ValueError("EMB encoder needs a loaded embedding table")
-        return EmbeddingEncoder(table)
+        return table
     raise ValueError(f"unknown encoder method {method!r}; expected DICT, EMB or TRI")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .corpus import Corpus, Document, document_from_rows
 
@@ -47,8 +48,8 @@ class SynthConfig:
     misspell_rate: float = 0.2
     case_mangle_rate: float = 0.1
     mention_density: float = 0.9
-    sentences_per_doc: int = 4
-    n_entities: int = 12
+    sentences_per_doc: ClassVar[int] = 4
+    n_entities: ClassVar[int] = 12
 
     def __post_init__(self) -> None:
         if self.n_sentences < 1:

@@ -17,7 +17,6 @@ from .corpus import split_sentences, tokenize
 from .encoder import (
     ENCODER_METHODS,
     FLAG_LAYOUT,
-    EmbeddingEncoder,
     EmbeddingTable,
     LexicalEncoder,
     TokenEncoder,
@@ -50,7 +49,6 @@ class TrainingConfig:
 
     epochs: int = 100
     seed: int = 0
-    log_every: int = 10
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -89,10 +87,10 @@ def train(
     """Train a tagger from labeled sentences.
 
     Builds the encoder vocabulary from the training sentences (DICT/TRI) or
-    wraps the given embedding table (EMB), then runs ``epochs`` passes of
-    per-sentence forward / BPTT / SGD updates.  Fully deterministic for a
-    fixed (seed, data, configuration).  The per-epoch mean loss trace is
-    recorded on the returned model.
+    encodes with the given embedding table (EMB), then runs ``epochs``
+    passes of per-sentence forward / BPTT / SGD updates, logging every 10th
+    epoch.  Fully deterministic for a fixed (seed, data, configuration).
+    The per-epoch mean loss trace is recorded on the returned model.
     """
     training = training or TrainingConfig()
     sentences = [s for s in train_sentences if len(s.tokens) > 0]
@@ -138,7 +136,7 @@ def train(
                     f"epoch {epoch}, sentence {n}: {exc}"
                 ) from exc
         trace.append(total / len(sentences))
-        if training.log_every and (epoch + 1) % training.log_every == 0:
+        if (epoch + 1) % 10 == 0:
             logger.info(
                 "epoch %d/%d: mean loss %.6f (%.1fs)",
                 epoch + 1,
@@ -216,21 +214,18 @@ def annotate(model: TaggerModel, document_text: str, doc_id: str = "") -> list[M
 _VOCABULARY_KEY = {"TRI": "trigrams", "DICT": "words", "EMB": "words"}
 
 
-def _encoder_header(encoder: TokenEncoder) -> dict:
-    key = _VOCABULARY_KEY[encoder.method]
-    if encoder.method == "EMB":
-        return {"method": "EMB", key: encoder.table.words, "dim": encoder.table.dim}
-    return {"method": encoder.method, key: encoder.keys}
-
-
 def save_model(model: TaggerModel, path, meta: dict | None = None) -> None:
     """Write the model as a single self-contained checksummed binary file."""
-    tensors = list(model.params.items())
-    if model.encoder.method == "EMB":
-        tensors.insert(0, ("embedding.vectors", model.encoder.table.vectors))
+    encoder, tensors = model.encoder, list(model.params.items())
+    section = {"method": encoder.method}
+    if encoder.method == "EMB":
+        section.update(words=encoder.words, dim=encoder.vectors.shape[1])
+        tensors.insert(0, ("embedding.vectors", encoder.vectors))
+    else:
+        section[_VOCABULARY_KEY[encoder.method]] = encoder.keys
     header = {
         "format_version": FORMAT_VERSION,
-        "encoder": _encoder_header(model.encoder),
+        "encoder": section,
         "flag_layout": list(FLAG_LAYOUT),
         "network": asdict(model.config),
         "tensors": [[name, list(t.shape)] for name, t in tensors],
@@ -328,13 +323,13 @@ def load_model(path) -> TaggerModel:
             params[name][...] = data.reshape(shape)
         offset += data.nbytes
 
-    encoder: TokenEncoder
-    if method == "EMB":
-        encoder = EmbeddingEncoder(EmbeddingTable(vocabulary, vectors))
-    else:
-        encoder = LexicalEncoder(method, vocabulary)
-        if encoder.keys != vocabulary:  # slot i must be the key its weights learned
-            raise ValueError(f"{path}: {_VOCABULARY_KEY[method]} are not sorted and distinct")
+    try:  # the EMB table rejects a repeated word
+        encoder: TokenEncoder = (EmbeddingTable(vocabulary, vectors) if method == "EMB"
+                                 else LexicalEncoder(method, vocabulary))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if method != "EMB" and encoder.keys != vocabulary:  # each slot keeps its learned key
+        raise ValueError(f"{path}: {_VOCABULARY_KEY[method]} are not sorted and distinct")
     if encoder.dim != config.input_dim:
         raise ValueError(
             f"{path}: encoder dimension {encoder.dim} does not match "

@@ -23,16 +23,16 @@ from seqtag.corpus import (
     sample_split,
 )
 from seqtag.encoder import (
-    EmbeddingEncoder,
     EmbeddingTable,
     LexicalEncoder,
     encode_sentence,
-    write_embeddings_file,
 )
 from seqtag.evaluation import count_document, evaluate, micro_scores
 from seqtag.network import NetworkConfig, Params, gradient_check, lstm_forward
 from seqtag.synth import SynthConfig, synthetic_corpus
 from seqtag.tagger import TrainingConfig, decode_spans, predict, train
+
+from helpers import write_embeddings_file
 
 
 def report(name: str, detail: str = "") -> None:
@@ -234,7 +234,7 @@ def test_encoder_unseen_word_zero_vectors():
     dict_vec = _encode_words(dict_enc, "gamma")[0]
     assert not dict_vec[: len(dict_enc.keys)].any()
     table = EmbeddingTable(["alpha"], np.ones((1, 4)))
-    emb_vec = _encode_words(EmbeddingEncoder(table), "gamma")[0]
+    emb_vec = _encode_words(table, "gamma")[0]
     assert not emb_vec[:4].any()
     report("unseen-word zero vectors", "DICT and EMB")
 
@@ -251,7 +251,7 @@ def test_learning_capability_overfit():
         sentences,
         "TRI",
         "BLSTM",
-        TrainingConfig(epochs=500, seed=3, log_every=0),
+        TrainingConfig(epochs=500, seed=3),
     )
     elapsed = time.monotonic() - started
     correct = total = 0
@@ -333,7 +333,7 @@ def test_corpus_reproduction_weak_match_f1():
         train_sentences,
         "TRI",
         "BLSTM",
-        TrainingConfig(epochs=100, seed=0, log_every=10),
+        TrainingConfig(epochs=100, seed=0),
     )
     elapsed = time.monotonic() - started
     result = evaluate(model, test_sentences, mode="span")

@@ -7,8 +7,9 @@ import pytest
 
 from seqtag.cli import build_parser, main
 from seqtag.corpus import read_bio_column_file, read_standoff, write_bio_column_file
-from seqtag.encoder import write_embeddings_file
 from seqtag.synth import SynthConfig, synthetic_corpus
+
+from helpers import write_embeddings_file
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +267,22 @@ def test_train_rejects_non_finite_embeddings(tmp_path, bio_corpus_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("ERROR invalid-input: ")
     assert f"{emb}:2: non-finite vector component" in err
+    assert not (tmp_path / "m.stm").exists()
+
+
+def test_train_rejects_repeated_embedding_word(tmp_path, bio_corpus_path, capsys):
+    emb = tmp_path / "vecs.txt"
+    emb.write_text("alpha 1 2\nalpha 3 4\nbeta 5 6\n", encoding="utf-8")
+    code = run(
+        [
+            "train", "--corpus", bio_corpus_path, "--model", str(tmp_path / "m.stm"),
+            "--encoder", "EMB", "--network", "FF", "--epochs", "1",
+            "--embeddings", str(emb),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR invalid-input: {emb}: word 'alpha' appears more than once\n"
     assert not (tmp_path / "m.stm").exists()
 
 

@@ -9,7 +9,6 @@ from seqtag.corpus import Sentence, Token
 from seqtag.encoder import (
     FLAG_LAYOUT,
     N_FLAGS,
-    EmbeddingEncoder,
     EmbeddingTable,
     LexicalEncoder,
     SurfaceFlags,
@@ -18,8 +17,9 @@ from seqtag.encoder import (
     extract_trigrams,
     load_embeddings,
     surface_flags,
-    write_embeddings_file,
 )
+
+from helpers import write_embeddings_file
 
 
 def sentence_of(*words):
@@ -170,11 +170,11 @@ def test_dict_is_lowercased_one_hot():
 
 
 def test_emb_missing_word_zero_and_counted():
-    table = EmbeddingTable(["alpha", "beta"], np.arange(6.0).reshape(2, 3))
-    enc = EmbeddingEncoder(table)
+    enc = EmbeddingTable(["alpha", "beta"], np.arange(6.0).reshape(2, 3))
     vec = encode_token(enc, "gamma")
     assert not vec[:3].any()
     assert list(encode_token(enc, "beta")[:3]) == [3.0, 4.0, 5.0]
+    assert not encode_token(enc, "Beta")[:3].any()  # looked up by exact text
 
 
 def test_build_encoder_validates():
@@ -206,9 +206,16 @@ def test_load_embeddings_fixture(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("alpha 1 2 3\nbeta 0.5 -1 2.25\n", encoding="utf-8")
     table = load_embeddings(path)
-    assert table.dim == 3
+    assert table.vectors.shape == (2, 3)
     assert len(table.words) == 2
-    assert list(table.lookup("beta")) == [0.5, -1.0, 2.25]
+    assert list(encode_token(table, "beta")[:3]) == [0.5, -1.0, 2.25]
+
+
+def test_load_embeddings_rejects_repeated_word(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("alpha 1 2\nalpha 3 4\nbeta 5 6\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: word 'alpha' appears more than once$"):
+        load_embeddings(path)
 
 
 def test_load_embeddings_dimension_error_names_line(tmp_path):

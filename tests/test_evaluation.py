@@ -311,7 +311,7 @@ def test_report_formats_agree():
 def tagged_sentences():
     """A small trained model and a Corpus of one-sentence held-out documents."""
     corpus = synthetic_corpus(SynthConfig(n_sentences=30, seed=4, misspell_rate=0.1))
-    config = TrainingConfig(epochs=60, seed=1, log_every=0)
+    config = TrainingConfig(epochs=60, seed=1)
     model = train(corpus.sentences[:20], "TRI", "FF", config)
     held_out = Corpus(
         tuple(

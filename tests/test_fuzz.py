@@ -167,7 +167,7 @@ def model_files(tmp_path_factory):
     out = []
     for method in ("TRI", "DICT", "EMB"):
         model = train(
-            sentences, method, "FF", TrainingConfig(epochs=1, log_every=0),
+            sentences, method, "FF", TrainingConfig(epochs=1),
             embeddings=table, dense_size=3, lstm_cells=2,
         )
         path = tmp_path_factory.mktemp("models") / f"{method}.stm"
@@ -274,7 +274,7 @@ def variant_models():
     sentences = synthetic_corpus(SynthConfig(n_sentences=6, seed=2)).sentences
     return {
         variant: train(
-            sentences, "TRI", variant, TrainingConfig(epochs=2, seed=1, log_every=0),
+            sentences, "TRI", variant, TrainingConfig(epochs=2, seed=1),
             dense_size=8, lstm_cells=3,
         )
         for variant in VARIANTS

@@ -63,7 +63,7 @@ def tiny_sentences():
 
 
 def quick_config(epochs=3, seed=0):
-    return TrainingConfig(epochs=epochs, seed=seed, log_every=0)
+    return TrainingConfig(epochs=epochs, seed=seed)
 
 
 def quick_train(sentences, encoder="TRI", network="BLSTM", epochs=3, seed=0, **kw):
@@ -339,14 +339,32 @@ def test_crafted_header_is_invalid_input_naming_the_file(
     assert err.startswith("ERROR invalid-input: ") and str(path) in err
 
 
+def test_emb_header_with_repeated_word_is_invalid_input_naming_the_file(
+    tmp_path, tiny_sentences, capsys
+):
+    words = sorted({t.text for s in tiny_sentences for t in s.tokens})
+    table = EmbeddingTable(words, np.random.default_rng(1).normal(size=(len(words), 5)))
+    path = tmp_path / "model.stm"
+    save_model(quick_train(tiny_sentences, encoder="EMB", epochs=1, embeddings=table), path)
+    rewrite_header(path, lambda h: _set(h, "encoder", "words", [words[0], words[0], *words[2:]]))
+    message = f"{path}: word {words[0]!r} appears more than once"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+    assert cli_main(["annotate", "--model", str(path), "--text", "Aspirin helps."]) == 1
+    assert capsys.readouterr().err == f"ERROR invalid-input: {message}\n"
+
+
 # Model files written by earlier code, each next to the distributions that
-# code predicted.  Both were trained by
+# code predicted.  All were trained by
 # train(synthetic_corpus(SynthConfig(n_sentences=6, seed=4)).sentences,
 # METHOD, NETWORK, TrainingConfig(epochs=3, seed=2), dense_size=8,
 # lstm_cells=3) and saved without meta: TRI+BLSTM by the per-tensor
 # parameter code, DICT+FF by the code with one vocabulary and encoder class
-# per lexical method.
-COMPAT_FIXTURES = ("compat_tri_blstm", "compat_dict_ff")
+# per lexical method, and EMB+BLSTM by the code whose EMB encoder wrapped
+# its table, with embeddings=EmbeddingTable(words,
+# np.random.default_rng(4).normal(size=(len(words), 4))) where words is
+# sorted({token texts of the training sentences})[::2].
+COMPAT_FIXTURES = ("compat_tri_blstm", "compat_dict_ff", "compat_emb_blstm")
 
 
 @pytest.mark.parametrize("fixture", COMPAT_FIXTURES)
