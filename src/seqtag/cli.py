@@ -193,7 +193,7 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
                 encoder_method=enc,
                 network_variant=variant,
                 training=training,
-                embeddings=table,
+                embeddings=table if enc == "EMB" else None,
             )
             report = evaluate(model, test_sentences, mode="bio")
             row.update(
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--train-size",
         type=int,
-        help="with --test-size: reproduce the train/test split of the training run",
+        help="with --test-size: score sentences that train --train-size held out (same --seed)",
     )
     p.add_argument(
         "--test-size",

@@ -146,9 +146,6 @@ class Corpus:
     def sentences(self) -> list[Sentence]:
         return [s for doc in self.documents for s in doc.sentences]
 
-    def __len__(self) -> int:
-        return len(self.documents)
-
 
 def check_non_overlapping(mentions, what: str = "mentions") -> None:
     """Raise ValueError if any two spans in `mentions` overlap."""
@@ -346,42 +343,36 @@ def read_standoff(path) -> Corpus:
     doc_ids are unique and offsets are half-open character intervals.
     Sentences and tokens are produced by split_sentences/tokenize, and gold
     BIO2 labels are attached by projecting the mentions onto the tokens.
+    A blank file is an empty corpus; any error in record i reads ``<path>: record <i>: ...``.
     """
     records = _standoff_records(_read_text(path), path)
     documents: dict[str, Document] = {}
     for index, record in enumerate(records):
-        where = f"{path}: record {index}"
-        if not isinstance(record, dict) or not isinstance(record.get("text"), str):
-            raise ValueError(f"{where}: expected an object with a string 'text' field")
-        text = record["text"]
-        doc_id = str(record.get("doc_id", f"doc{index}"))
-        if doc_id in documents:
-            raise ValueError(f"{where}: duplicate doc_id {doc_id!r}")
-        raw_mentions = record.get("mentions", [])
-        if not isinstance(raw_mentions, list):
-            raise ValueError(f"{where}: 'mentions' is not a list")
-        mentions = []
-        for m in raw_mentions:
-            try:
-                begin, end = _offset(m["begin"]), _offset(m["end"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise ValueError(
-                    f"{where}: mention {m!r} needs integer 'begin' and 'end'"
-                ) from None
-            if not 0 <= begin < end <= len(text):
-                raise ValueError(
-                    f"{where}: mention [{begin}, {end}) outside text "
-                    f"of length {len(text)}"
-                )
-            mentions.append(MentionSpan(begin, end, doc_id))
-        check_non_overlapping(mentions, what=f"{where}: mentions")
-        sentences = []
-        for s_begin, s_end in split_sentences(text):
-            tokens = tokenize(text[s_begin:s_end], s_begin)
-            sentence = Sentence(tuple(tokens))
-            labels = mentions_to_bio2(sentence, mentions)
-            sentences.append(Sentence(tuple(tokens), tuple(labels)))
-        documents[doc_id] = Document(doc_id, text, tuple(sentences), tuple(mentions))
+        try:
+            if not isinstance(record, dict) or not isinstance(record.get("text"), str):
+                raise ValueError("expected an object with a string 'text' field")
+            text = record["text"]
+            doc_id = str(record.get("doc_id", f"doc{index}"))
+            if doc_id in documents:
+                raise ValueError(f"duplicate doc_id {doc_id!r}")
+            raw_mentions = record.get("mentions", [])
+            if not isinstance(raw_mentions, list):
+                raise ValueError("'mentions' is not a list")
+            mentions = []
+            for m in raw_mentions:
+                try:
+                    begin, end = _offset(m["begin"]), _offset(m["end"])
+                except (KeyError, TypeError, ValueError, OverflowError):
+                    raise ValueError(f"mention {m!r} needs integer 'begin' and 'end'") from None
+                mentions.append(MentionSpan(begin, end, doc_id))
+            sentences = []
+            for s_begin, s_end in split_sentences(text):
+                tokens = tuple(tokenize(text[s_begin:s_end], s_begin))
+                labels = mentions_to_bio2(Sentence(tokens), mentions)
+                sentences.append(Sentence(tokens, tuple(labels)))
+            documents[doc_id] = Document(doc_id, text, tuple(sentences), tuple(mentions))
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {index}: {exc}") from exc
     return Corpus(tuple(documents.values()))
 
 
@@ -396,11 +387,8 @@ def _offset(value) -> int:
 
 
 def _standoff_records(content: str, path) -> list:
-    stripped = content.strip()
-    if not stripped:
-        return []
     try:
-        obj = json.loads(stripped)
+        obj = json.loads(content.strip())
     except json.JSONDecodeError:
         obj = None
     if obj is not None:
@@ -429,8 +417,8 @@ def sample_split(
 ) -> tuple[list[Sentence], list[Sentence]]:
     """Draw disjoint random train/test sentence samples without replacement.
 
-    Deterministic for a fixed seed; raises if the corpus holds fewer than
-    n_train + n_test sentences.
+    The seed fixes one order of all sentences: train is its first n_train, whatever
+    n_test is, and test the next n_test.  Raises if there are fewer than n_train + n_test.
     """
     sentences = corpus.sentences
     if n_train < 0 or n_test < 0:
@@ -440,8 +428,7 @@ def sample_split(
             f"requested {n_train} train + {n_test} test sentences, "
             f"but only {len(sentences)} are available"
         )
-    rng = random.Random(seed)
-    picks = rng.sample(range(len(sentences)), n_train + n_test)
-    train = [sentences[i] for i in picks[:n_train]]
-    test = [sentences[i] for i in picks[n_train:]]
+    order = random.Random(seed).sample(range(len(sentences)), len(sentences))
+    train = [sentences[i] for i in order[:n_train]]
+    test = [sentences[i] for i in order[n_train : n_train + n_test]]
     return train, test

@@ -65,8 +65,6 @@ def extract_trigrams(token_text: str) -> list[str]:
     The token is lowercased and wrapped in boundary markers, then every
     window of three consecutive characters is emitted in order.
     """
-    if not token_text:
-        return []
     padded = TRIGRAM_BOUNDARY + token_text.lower() + TRIGRAM_BOUNDARY
     return [padded[i : i + 3] for i in range(len(padded) - 2)]
 
@@ -176,9 +174,11 @@ def build_encoder(
     train_sentences: Iterable[Sentence] | None = None,
     table: EmbeddingTable | None = None,
 ) -> TokenEncoder:
-    """Build the encoder for `method` from training sentences or a table."""
+    """Build the encoder for `method`: DICT/TRI from training sentences, EMB from a table."""
     method = method.upper()
     if method in ("DICT", "TRI"):
+        if table is not None:
+            raise ValueError(f"an embedding table is read only by encoder EMB, not {method}")
         if train_sentences is None:
             raise ValueError(f"{method} encoder needs training sentences")
         texts = (tok.text for sentence in train_sentences for tok in sentence.tokens)

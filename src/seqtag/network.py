@@ -47,13 +47,13 @@ class NetworkConfig:
     input_dim: int
     dense_size: int = 150
     lstm_cells: int = 20
-    n_classes: int = 3
+    n_classes: int = field(default=3, init=False)  # B, I and O: not a setting
     learning_rate: float = 0.005
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected {VARIANTS}")
-        for name in ("input_dim", "dense_size", "lstm_cells", "n_classes"):
+        for name in ("input_dim", "dense_size", "lstm_cells"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -364,21 +364,18 @@ def backward_bptt(
 ) -> Params:
     """Exact gradients of loss(forward(inputs), gold) w.r.t. every parameter.
 
-    The sentence is unrolled in full; no truncation.  Softmax and
-    cross-entropy are fused, so dlogits = (y - onehot) / T.  Every tensor
-    of ``grads`` receives exactly one contribution and is overwritten, so
-    one buffer from ``zero_gradients`` serves a whole training run.  The
-    input weight is the exception: only the rows of the record's columns,
-    cached by ``forward``, are written, the previously recorded ones are zeroed, and the
-    new ones are recorded in ``grads.input_columns``.
+    The sentence is unrolled in full; no truncation.  Softmax and cross-entropy
+    are fused, so dlogits = (y - onehot) / T.  Every tensor of ``grads`` receives
+    exactly one contribution and is overwritten, so one buffer from
+    ``zero_gradients`` serves a whole training run; an empty sentence's products
+    over its empty time axis are zero.  The input weight is the exception: only
+    the rows of the record's columns, cached by ``forward``, are written, the
+    previously recorded ones are zeroed, and the new ones are recorded in
+    ``grads.input_columns``.
     """
     ys = cache["ys"]
     gold = np.asarray(gold)
     T = ys.shape[0]
-    if T == 0:
-        grads.flat.fill(0.0)
-        return grads
-
     dlogits = ys.copy()
     dlogits[np.arange(T), gold] -= 1.0
     dlogits /= T
@@ -490,9 +487,7 @@ def gradient_check(
             break
 
     analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
-    if corruption:
-        first = next(iter(analytic))
-        analytic[first].flat[0] += corruption
+    analytic[next(iter(analytic))].flat[0] += corruption
 
     per_block: dict[str, float] = {}
     for name in analytic:

@@ -301,8 +301,10 @@ def load_model(path) -> TaggerModel:
         _has_type(net.get(name), types) for name, types in _NETWORK_TYPES.items()
     ):
         raise ValueError(f"{path}: malformed network section in header")
+    if net["n_classes"] != NetworkConfig.n_classes:  # B, I and O
+        raise ValueError(f"{path}: n_classes is {net['n_classes']}, expected 3")
     try:
-        config = NetworkConfig(**{name: net[name] for name in _NETWORK_TYPES})
+        config = NetworkConfig(**{k: net[k] for k in _NETWORK_TYPES if k != "n_classes"})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     manifest = param_spec(config)

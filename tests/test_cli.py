@@ -205,6 +205,14 @@ MALFORMED_STANDOFF = {
                        "record 0"),
     "duplicate doc_id": ([{"doc_id": "a", "text": "One."}, {"doc_id": "a", "text": "Two."}],
                          "record 1: duplicate doc_id 'a'"),
+    "mention past the text": ({"text": "Aspirin helps.", "mentions": [{"begin": 8, "end": 99}]},
+                              "record 0: doc0: mention [8, 99) outside text of length 14"),
+    "mention ends before it begins": ({"text": "Aspirin helps.",
+                                       "mentions": [{"begin": 5, "end": 3}]},
+                                      "record 0: invalid mention interval [5, 3)"),
+    "overlapping mentions": ({"text": "Aspirin helps.",
+                              "mentions": [{"begin": 0, "end": 7}, {"begin": 3, "end": 13}]},
+                             "record 0: mentions overlap: [0, 7) and [3, 13)"),
 }
 
 

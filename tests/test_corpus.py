@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -436,6 +437,13 @@ def test_read_standoff_json_lines_split_only_at_line_feeds(tmp_path):
     assert [d.text for d in read_standoff(path).documents] == texts
 
 
+@pytest.mark.parametrize("content", ["", " \n\t\r\n  \n"])
+def test_read_standoff_blank_file_is_an_empty_corpus(tmp_path, content):
+    path = tmp_path / "docs.json"
+    path.write_text(content, encoding="utf-8")
+    assert read_standoff(path) == Corpus(())
+
+
 def test_read_standoff_rejects_overlaps(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(
@@ -477,6 +485,18 @@ def test_sample_split_deterministic():
     corpus = _corpus_of(30)
     assert sample_split(corpus, 10, 5, seed=4) == sample_split(corpus, 10, 5, seed=4)
     assert sample_split(corpus, 10, 5, seed=4) != sample_split(corpus, 10, 5, seed=5)
+
+
+@pytest.mark.parametrize("n_sentences", [40, 220, 1000])
+def test_sample_split_train_set_does_not_depend_on_test_size(n_sentences):
+    # evaluate --train-size N --test-size M must test only on sentences
+    # that train --train-size N (a split of (N, 0)) left out.
+    corpus = _corpus_of(n_sentences)
+    for n_train, n_test, seed in itertools.product((1, 5, 20), (1, 5, 20), range(8)):
+        train, test = sample_split(corpus, n_train, n_test, seed)
+        train_only, _ = sample_split(corpus, n_train, 0, seed)
+        assert [id(s) for s in train] == [id(s) for s in train_only]
+        assert not {id(s) for s in test} & {id(s) for s in train_only}
 
 
 def test_sample_split_reports_available_count():

@@ -182,6 +182,11 @@ def test_build_encoder_validates():
         build_encoder("EMB")
     with pytest.raises(ValueError, match="unknown encoder"):
         build_encoder("WORD2VEC", [sentence_of("a")])
+    table = EmbeddingTable(["a"], np.ones((1, 3)))
+    for method in ("TRI", "DICT"):  # only EMB reads a table
+        message = f"an embedding table is read only by encoder EMB, not {method}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_encoder(method, [sentence_of("a")], table=table)
 
 
 def test_encode_sentence_shape_and_empty():

@@ -339,6 +339,38 @@ def test_crafted_header_is_invalid_input_naming_the_file(
     assert err.startswith("ERROR invalid-input: ") and str(path) in err
 
 
+def test_train_rejects_embeddings_for_lexical_encoder(tiny_sentences):
+    table = EmbeddingTable(["Aspirin"], np.ones((1, 3)))
+    with pytest.raises(ValueError, match="read only by encoder EMB, not DICT"):
+        train(tiny_sentences, "DICT", "FF", quick_config(epochs=1), embeddings=table)
+
+
+def test_four_class_model_file_is_invalid_input_naming_the_file(tmp_path, tiny_sentences, capsys):
+    # Consistent apart from the class count: the header's manifest matches
+    # its network section and the data, and the checksum is recomputed.
+    model = quick_train(tiny_sentences, epochs=1)
+    path = tmp_path / "model.stm"
+    save_model(model, path)
+    body = path.read_bytes()[:-32]
+    header = json.loads(body[16 : 16 + int.from_bytes(body[8:16], "little")])
+    header["network"]["n_classes"] = 4
+    data = b""
+    for entry in header["tensors"]:
+        tensor = model.params[entry[0]]
+        if entry[0].startswith("out."):  # one more class row
+            tensor = np.concatenate([tensor, np.full((1, *tensor.shape[1:]), 0.5)])
+            entry[1] = list(tensor.shape)
+        data += np.ascontiguousarray(tensor, dtype="<f8").tobytes()
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    new_body = body[:8] + len(new_header).to_bytes(8, "little") + new_header + data
+    path.write_bytes(new_body + hashlib.sha256(new_body).digest())
+    message = f"{path}: n_classes is 4, expected 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+    assert cli_main(["annotate", "--model", str(path), "--text", "Aspirin helps."]) == 1
+    assert capsys.readouterr().err == f"ERROR invalid-input: {message}\n"
+
+
 def test_emb_header_with_repeated_word_is_invalid_input_naming_the_file(
     tmp_path, tiny_sentences, capsys
 ):
