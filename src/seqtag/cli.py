@@ -59,6 +59,15 @@ def _run_config(args: argparse.Namespace, model=None) -> dict:
     return run
 
 
+def _sample(corpus: Corpus, n_train: int, n_test: int, seed: int):
+    """``sample_split``, whose size errors name the flags and the corpus size."""
+    total = len(corpus.sentences)
+    if n_train > total or n_train + n_test > total:
+        plus = f" plus --test-size {n_test}" if n_train <= total else ""
+        raise ValueError(f"--train-size {n_train}{plus} exceeds the corpus's {total} sentences")
+    return sample_split(corpus, n_train, n_test, seed)
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -78,7 +87,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     training = TrainingConfig(epochs=args.epochs, seed=args.seed)
     corpus = _read_corpus(args)
     if args.train_size is not None:
-        sentences, _ = sample_split(corpus, args.train_size, 0, args.seed)
+        sentences, _ = _sample(corpus, args.train_size, 0, args.seed)
     else:
         sentences = corpus.sentences
     table = load_embeddings(args.embeddings) if args.embeddings else None
@@ -151,9 +160,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     run = _run_config(args, model)
     test_data = _read_corpus(args)
     if args.test_size is not None:
-        _, test_data = sample_split(
-            test_data, args.train_size or 0, args.test_size, args.seed
-        )
+        _, test_data = _sample(test_data, args.train_size or 0, args.test_size, args.seed)
     report = evaluate(model, test_data, mode=args.mode)
     report.config["run_config"] = run
     text = format_report(report)
@@ -174,10 +181,10 @@ def cmd_compare_configs(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args)
     available = len(corpus.sentences)
     n_train = args.train_size if args.train_size is not None else available // 2
-    if n_train > available:
-        raise ValueError(f"--train-size {n_train} exceeds the corpus's {available} sentences")
     n_test = args.test_size if args.test_size is not None else available - n_train
-    train_sentences, test_sentences = sample_split(corpus, n_train, n_test, args.seed)
+    if n_test == 0 < available and args.test_size is None:
+        raise ValueError(f"--train-size {n_train} of {available} sentences leaves none to test")
+    train_sentences, test_sentences = _sample(corpus, n_train, n_test, args.seed)
     if not test_sentences:  # nothing could score the trained models
         raise ValueError("the test data holds no sentence")
     table = load_embeddings(args.embeddings) if args.embeddings else None
@@ -398,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"ERROR invalid-input: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"ERROR memory: {exc or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 LABELS = ("B", "I", "O")
@@ -351,8 +352,10 @@ def read_standoff(path) -> Corpus:
         try:
             if not isinstance(record, dict) or not isinstance(record.get("text"), str):
                 raise ValueError("expected an object with a string 'text' field")
-            text = record["text"]
-            doc_id = str(record.get("doc_id", f"doc{index}"))
+            text, doc_id = record["text"], record.get("doc_id", f"doc{index}")
+            if not isinstance(doc_id, (str, int)) or isinstance(doc_id, bool):
+                raise ValueError(f"'doc_id' is not a string or an integer: {json.dumps(doc_id)}")
+            doc_id = str(doc_id)
             if doc_id in documents:
                 raise ValueError(f"duplicate doc_id {doc_id!r}")
             raw_mentions = record.get("mentions", [])
@@ -365,11 +368,15 @@ def read_standoff(path) -> Corpus:
                 except (KeyError, TypeError, ValueError, OverflowError):
                     raise ValueError(f"mention {m!r} needs integer 'begin' and 'end'") from None
                 mentions.append(MentionSpan(begin, end, doc_id))
+            bounds, ordered = split_sentences(text), sorted(mentions)
+            if bounds:  # a text without sentences leaves the check to Document
+                check_non_overlapping(ordered)
+            begins, ends = [m.begin for m in ordered], [m.end for m in ordered]
             sentences = []
-            for s_begin, s_end in split_sentences(text):
+            for s_begin, s_end in bounds:  # disjoint mentions: begins and ends both ascend
                 tokens = tuple(tokenize(text[s_begin:s_end], s_begin))
-                labels = mentions_to_bio2(Sentence(tokens), mentions)
-                sentences.append(Sentence(tokens, tuple(labels)))
+                near = ordered[bisect_right(ends, s_begin) : bisect_left(begins, s_end)]
+                sentences.append(Sentence(tokens, tuple(mentions_to_bio2(Sentence(tokens), near))))
             documents[doc_id] = Document(doc_id, text, tuple(sentences), tuple(mentions))
         except ValueError as exc:
             raise ValueError(f"{path}: record {index}: {exc}") from exc

@@ -1,18 +1,20 @@
 """Token encoders: one lexical multi-hot code and pretrained embeddings.
 
-Every encoder fills one dense float row per token, with four surface-form
-flag slots appended after the lexical part; ``encode_sentence`` fills the
-rows of one preallocated sentence matrix.  The lexical encoder's vocabulary
-is the sorted set of the keys it is built from, key i owning slot i; it
-turns a token into keys and sets the slot of each known key to 1.  TRI's
-keys are the token's letter trigrams (word hashing); DICT's one key is the
-lowercased token, so DICT is the one-key case of TRI.  The EMB encoder is
-its embedding table, looked up by the token's exact text.  Encoders are
-immutable once built; encoding is a pure function, safe to use concurrently.
+Every encoder turns a token's text into a code, a pure function of the text
+that holds its surface flags, and writes a code into one dense float row, the
+four flag slots after the lexical part.  ``encode_sentence`` fills a sentence
+matrix from a dict of codes that ``train`` and ``predict_batch`` share across
+one call, so each distinct text is encoded once per call.  The lexical
+encoder's vocabulary is the sorted set of the keys it is built from, key i
+owning slot i; a code holds the slots of the token's known keys.  TRI's keys
+are the token's letter trigrams (word hashing); DICT's one key is the
+lowercased token, so DICT is the one-key case of TRI.  The EMB encoder is its
+embedding table, looked up by the token's exact text.  Encoders are immutable.
 """
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -46,15 +48,15 @@ class SurfaceFlags(NamedTuple):
 
 def surface_flags(token_text: str) -> SurfaceFlags:
     """Compute the four surface-form flags for one token."""
-    letters = [c for c in token_text if c.isalpha()]
+    letters = list(filter(str.isalpha, token_text))
     initial = bool(token_text) and token_text[0].isupper()
-    has_upper = any(c.isupper() for c in letters)
-    has_lower = any(c.islower() for c in letters)
+    has_upper = any(map(str.isupper, letters))
+    has_lower = any(map(str.islower, letters))
     if not (has_upper or has_lower):  # no letters, or only caseless ones
         return SurfaceFlags(initial, False, False, False)
     all_upper = not has_lower
     all_lower = not has_upper
-    title = initial and not any(c.isupper() for c in letters[1:])
+    title = initial and not any(map(str.isupper, letters[1:]))
     mixed = has_upper and has_lower and not title
     return SurfaceFlags(initial, all_upper, all_lower, mixed)
 
@@ -96,11 +98,14 @@ class EmbeddingTable:
             raise ValueError(f"word {word!r} appears more than once")
         self.dim = vectors.shape[1] + N_FLAGS
 
-    def fill_row(self, token_text: str, row: np.ndarray) -> None:
-        i = self.index.get(token_text)
+    def code(self, token_text: str) -> tuple[int | None, SurfaceFlags]:
+        return self.index.get(token_text), surface_flags(token_text)
+
+    def fill_row(self, code: tuple[int | None, SurfaceFlags], row: np.ndarray) -> None:
+        i, flags = code
         if i is not None:
             row[:-N_FLAGS] = self.vectors[i]
-        row[-N_FLAGS:] = surface_flags(token_text)
+        row[-N_FLAGS:] = flags
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -157,15 +162,19 @@ class LexicalEncoder:
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.dim = len(self.keys) + N_FLAGS
 
-    def fill_row(self, token_text: str, row: np.ndarray) -> None:
-        for key in _lexical_keys(self.method, token_text):
-            i = self.index.get(key)
-            if i is not None:
-                row[i] = 1.0
-        row[-N_FLAGS:] = surface_flags(token_text)
+    def code(self, token_text: str) -> tuple[list[int], SurfaceFlags]:
+        keys = _lexical_keys(self.method, token_text)
+        return [self.index[k] for k in keys if k in self.index], surface_flags(token_text)
+
+    def fill_row(self, code: tuple[list[int], SurfaceFlags], row: np.ndarray) -> None:
+        slots, flags = code
+        for i in slots:
+            row[i] = 1.0
+        for i in compress(range(-N_FLAGS, 0), flags):  # the set flags' slots
+            row[i] = 1.0
 
 
-# What a model encodes its tokens with; both fill one zeroed ``dim``-wide row.
+# What a model encodes its tokens with: both have ``code(text)`` and ``fill_row(code, row)``.
 TokenEncoder = LexicalEncoder | EmbeddingTable
 
 
@@ -191,9 +200,11 @@ def build_encoder(
     raise ValueError(f"unknown encoder method {method!r}; expected DICT, EMB or TRI")
 
 
-def encode_sentence(encoder: TokenEncoder, sentence: Sentence) -> np.ndarray:
-    """Encode a sentence as a (n_tokens, encoder.dim) float matrix."""
+def encode_sentence(encoder: TokenEncoder, sentence: Sentence, codes: dict) -> np.ndarray:
+    """Encode a sentence as a (n_tokens, encoder.dim) matrix, adding new texts to ``codes``."""
     xs = np.zeros((len(sentence.tokens), encoder.dim))
     for tok, row in zip(sentence.tokens, xs):
-        encoder.fill_row(tok.text, row)
+        if (code := codes.get(tok.text)) is None:
+            code = codes[tok.text] = encoder.code(tok.text)
+        encoder.fill_row(code, row)
     return xs

@@ -112,7 +112,8 @@ def train(
     grads = zero_gradients(config)
 
     # One dense (T, input_dim) matrix is alive at a time: each becomes a record.
-    inputs = [sentence_input(encode_sentence(encoder, s), config.input_dim) for s in sentences]
+    codes: dict = {}  # shared by every sentence, so each distinct text is encoded once
+    inputs = [sentence_input(encode_sentence(encoder, s, codes), encoder.dim) for s in sentences]
     golds = [
         np.array([LABEL_TO_INDEX[lab] for lab in s.labels], dtype=np.int64)
         for s in sentences
@@ -160,9 +161,10 @@ def predict_batch(model: TaggerModel, sentences: list) -> list[PredictionResult]
     for n, sentence in enumerate(sentences):
         groups.setdefault(len(sentence.tokens), []).append(n)
     results: list = [None] * len(sentences)
-    encoder, width = model.encoder, model.config.input_dim
+    encoder, width, codes = model.encoder, model.config.input_dim, {}
     for members in groups.values():
-        inputs = [sentence_input(encode_sentence(encoder, sentences[n]), width) for n in members]
+        inputs = [sentence_input(encode_sentence(encoder, sentences[n], codes), width)
+                  for n in members]
         if len(members) == 1:  # a sentence alone runs unbatched, as in training
             ys = forward(inputs[0], model.config, model.params)[0][:, None]
         else:

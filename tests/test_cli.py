@@ -210,6 +210,8 @@ MALFORMED_STANDOFF = {
     "mention ends before it begins": ({"text": "Aspirin helps.",
                                        "mentions": [{"begin": 5, "end": 3}]},
                                       "record 0: invalid mention interval [5, 3)"),
+    "null doc_id": ({"doc_id": None, "text": "Aspirin helps."},
+                    "record 0: 'doc_id' is not a string or an integer: null"),
     "overlapping mentions": ({"text": "Aspirin helps.",
                               "mentions": [{"begin": 0, "end": 7}, {"begin": 3, "end": 13}]},
                              "record 0: mentions overlap: [0, 7) and [3, 13)"),
@@ -456,6 +458,41 @@ def test_compare_configs_rejects_train_size_beyond_corpus(
         )
         assert captured.out == ""
         assert trainings == [] and not report.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--train-size", "24", "--test-size", "1"],
+     "--train-size 24 plus --test-size 1 exceeds the corpus's 24 sentences"),
+    (["evaluate", "--test-size", "25"],
+     "--train-size 0 plus --test-size 25 exceeds the corpus's 24 sentences"),
+    (["train", "--train-size", "25"], "--train-size 25 exceeds the corpus's 24 sentences"),
+    (["compare-configs", "--train-size", "24"],
+     "--train-size 24 of 24 sentences leaves none to test"),
+])
+def test_sample_size_errors_name_the_flags_and_the_corpus_size(
+    tmp_path, bio_corpus_path, trained_model_path, capsys, monkeypatch, argv, message
+):
+    trainings = []
+    monkeypatch.setattr("seqtag.cli.train", lambda *a, **k: trainings.append(k))
+    model = trained_model_path if argv[0] == "evaluate" else str(tmp_path / "m.stm")
+    extra = [] if argv[0] == "compare-configs" else ["--model", model]
+    assert run([*argv, "--corpus", bio_corpus_path, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR invalid-input: {message}\n"
+    assert captured.out == "" and trainings == []
+
+
+def test_memory_error_is_one_error_line(trained_model_path, capsys, monkeypatch):
+    def exhaust(*args):
+        raise MemoryError("Unable to allocate 3.58 GiB for an array with shape (50000, 9600)")
+
+    monkeypatch.setattr("seqtag.tagger.annotate", exhaust)
+    assert run(["annotate", "--model", trained_model_path, "--text", "Aspirin helps."]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "ERROR memory: Unable to allocate 3.58 GiB for an array with shape (50000, 9600)\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["compare-configs", "train"])

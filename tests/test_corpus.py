@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -453,6 +454,57 @@ def test_read_standoff_rejects_overlaps(tmp_path):
     )
     with pytest.raises(ValueError, match="overlap"):
         read_standoff(path)
+
+
+def test_read_standoff_accepts_string_and_integer_doc_ids(tmp_path):
+    path = tmp_path / "docs.json"
+    path.write_text(json.dumps([{"doc_id": "a", "text": "One."}, {"doc_id": 7, "text": "Two."}]),
+                    encoding="utf-8")
+    assert [d.doc_id for d in read_standoff(path).documents] == ["a", "7"]
+
+
+def test_read_standoff_reads_a_10k_sentence_record_in_seconds(tmp_path):
+    parts, mentions, length = [], [], 0
+    for i in range(10_000):
+        prefix = f"Patient {i} received "
+        mentions.append({"begin": length + len(prefix), "end": length + len(prefix) + 8})
+        parts.append(prefix + "Zoravium today. ")
+        length += len(parts[-1])
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"text": "".join(parts), "mentions": mentions}), encoding="utf-8")
+    started = time.perf_counter()
+    doc = read_standoff(path).documents[0]
+    assert time.perf_counter() - started < 5
+    assert len(doc.sentences) == len(doc.gold_mentions) == 10_000
+    assert {s.labels for s in doc.sentences} == {("O", "O", "O", "B", "O", "O")}
+
+
+@pytest.fixture(scope="module")
+def standoff_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("standoff")
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(["ab", "Cd", "efg", "h-Ij", "(kl)"]), min_size=1, max_size=4),
+             max_size=6),
+    st.lists(st.tuples(st.integers(0, 90), st.integers(1, 7)), max_size=10),
+)
+@settings(max_examples=200, deadline=None)
+def test_read_standoff_labels_project_all_mentions(standoff_dir, word_lists, spans):
+    """Each sentence's labels equal the projection of every mention of its record."""
+    text = " ".join("Word " + " ".join(words) + "." for words in word_lists)
+    mentions, end = [], 0
+    for begin, size in sorted(spans):  # keep a disjoint subset inside the text
+        if begin >= end and begin + size <= len(text):
+            mentions.append(MentionSpan(begin, begin + size, "doc0"))
+            end = begin + size
+    path = standoff_dir / "doc.json"
+    path.write_text(json.dumps({"text": text, "mentions": [
+        {"begin": m.begin, "end": m.end} for m in mentions]}), encoding="utf-8")
+    doc = read_standoff(path).documents[0]
+    assert len(doc.sentences) == len(word_lists)
+    for sentence in doc.sentences:
+        assert list(sentence.labels) == mentions_to_bio2(Sentence(sentence.tokens), mentions)
 
 
 # ---------------------------------------------------------------------------

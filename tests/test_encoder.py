@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqtag.corpus import Sentence, Token
@@ -33,7 +33,7 @@ def sentence_of(*words):
 
 def encode_token(encoder, text):
     row = np.zeros(encoder.dim)
-    encoder.fill_row(text, row)
+    encoder.fill_row(encoder.code(text), row)
     return row
 
 
@@ -79,6 +79,38 @@ def test_flag_slots_hold_surface_flags_in_layout_order():
     for word in words:
         flags = [float(bit) for bit in surface_flags(word)]
         assert encode_token(encoder, word)[-N_FLAGS:].tolist() == flags
+
+
+def reference_flags(text):
+    """The four flags by a plain loop over the characters."""
+    has_upper = has_lower = upper_after_first = seen_letter = False
+    for c in text:
+        if c.isalpha():
+            has_upper = has_upper or c.isupper()
+            has_lower = has_lower or c.islower()
+            upper_after_first = upper_after_first or (seen_letter and c.isupper())
+            seen_letter = True
+    initial = len(text) > 0 and text[0].isupper()
+    if not (has_upper or has_lower):
+        return (initial, False, False, False)
+    title = initial and not upper_after_first
+    return (initial, not has_lower, not has_upper, has_upper and has_lower and not title)
+
+
+# Titlecase letters (U+01C5), caseless letters, and an uppercase character
+# that is no letter (U+216B ROMAN NUMERAL TWELVE).
+@given(st.text(max_size=12))
+@example("\u01c5emal")
+@example("a\u01c5")
+@example("\u01c5A")
+@example("\u4e2d\u6587")
+@example("\u216b")
+@example("\u216babc")
+@example("\u216bAb")
+@example("\u00aab")
+@settings(max_examples=500)
+def test_surface_flags_match_per_character_reference(text):
+    assert tuple(surface_flags(text)) == reference_flags(text)
 
 
 @given(st.text(max_size=12))
@@ -196,11 +228,37 @@ def test_encode_sentence_shape_and_empty():
                 build_encoder("EMB", table=table)]
     sentence = sentence_of("ab", "XY", "cd", "x", "Abcd", "ab")
     for enc in encoders:
-        mat = encode_sentence(enc, sentence)
+        mat = encode_sentence(enc, sentence, {})
         assert mat.shape == (6, enc.dim) and mat.dtype == np.float64
         for tok, row in zip(sentence.tokens, mat):
             assert row.tobytes() == encode_token(enc, tok.text).tobytes(), (enc.method, tok.text)
-        assert encode_sentence(enc, Sentence(())).shape == (0, enc.dim)
+        assert encode_sentence(enc, Sentence(()), {}).shape == (0, enc.dim)
+
+
+_shared_words = st.text(alphabet="aAbB\u00e9\u01c5\u03a3\u03c3\u4e2d1-.", min_size=1, max_size=4)
+
+
+@given(
+    st.sampled_from(["TRI", "DICT", "EMB"]),
+    st.lists(st.lists(_shared_words, max_size=8), max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_shared_codes_encode_like_fresh_codes(method, word_lists, seed):
+    sentences = [sentence_of(*words) for words in word_lists]
+    vocabulary = sorted({w for words in word_lists[::2] for w in words} | {"ab"})
+    if method == "EMB":
+        vectors = np.random.default_rng(seed).normal(size=(len(vocabulary), 3))
+        encoder = build_encoder("EMB", table=EmbeddingTable(vocabulary, vectors))
+    else:
+        encoder = build_encoder(method, [sentence_of(*vocabulary)])
+    codes = {}
+    for sentence in sentences:
+        shared = encode_sentence(encoder, sentence, codes)
+        fresh = encode_sentence(encoder, sentence, {})
+        assert shared.shape == fresh.shape == (len(sentence.tokens), encoder.dim)
+        assert shared.tobytes() == fresh.tobytes()
+    assert set(codes) == {tok.text for sentence in sentences for tok in sentence.tokens}
 
 
 # ---------------------------------------------------------------------------
