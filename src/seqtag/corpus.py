@@ -225,6 +225,23 @@ def mentions_to_bio2(sentence: Sentence, mentions) -> list[str]:
     return labels
 
 
+def document_labels(sentences, mentions) -> list[list[str]]:
+    """Each sentence's ``mentions_to_bio2`` labels under all of one document's
+    mentions, in O(n log n): the mentions are sorted and overlap-checked once
+    (no sentence, no check), and each sentence gets those touching its tokens
+    by bisection, as the begins and ends of disjoint mentions both ascend."""
+    if not sentences:
+        return []
+    ordered = sorted(mentions)
+    check_non_overlapping(ordered)
+    begins, ends = [m.begin for m in ordered], [m.end for m in ordered]
+    spans = [(s.tokens[0].begin, s.tokens[-1].end) if s.tokens else (0, 0) for s in sentences]
+    return [
+        mentions_to_bio2(s, ordered[bisect_right(ends, b) : bisect_left(begins, e)])
+        for s, (b, e) in zip(sentences, spans)
+    ]
+
+
 def label_runs(labels) -> list[tuple[int, int]]:
     """Return maximal mention runs as (first, last) token index pairs.
 
@@ -326,10 +343,10 @@ def write_bio_column_file(corpus: Corpus, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for doc in corpus.documents:
             fh.write("-DOCSTART-\tO\n\n")
+            unlabeled = [s for s in doc.sentences if s.labels is None]
+            projected = iter(document_labels(unlabeled, doc.gold_mentions))
             for sentence in doc.sentences:
-                labels = sentence.labels
-                if labels is None:
-                    labels = tuple(mentions_to_bio2(sentence, doc.gold_mentions))
+                labels = next(projected) if sentence.labels is None else sentence.labels
                 for tok, label in zip(sentence.tokens, labels):
                     fh.write(f"{tok.text}\t{label}\n")
                 fh.write("\n")
@@ -368,16 +385,9 @@ def read_standoff(path) -> Corpus:
                 except (KeyError, TypeError, ValueError, OverflowError):
                     raise ValueError(f"mention {m!r} needs integer 'begin' and 'end'") from None
                 mentions.append(MentionSpan(begin, end, doc_id))
-            bounds, ordered = split_sentences(text), sorted(mentions)
-            if bounds:  # a text without sentences leaves the check to Document
-                check_non_overlapping(ordered)
-            begins, ends = [m.begin for m in ordered], [m.end for m in ordered]
-            sentences = []
-            for s_begin, s_end in bounds:  # disjoint mentions: begins and ends both ascend
-                tokens = tuple(tokenize(text[s_begin:s_end], s_begin))
-                near = ordered[bisect_right(ends, s_begin) : bisect_left(begins, s_end)]
-                sentences.append(Sentence(tokens, tuple(mentions_to_bio2(Sentence(tokens), near))))
-            documents[doc_id] = Document(doc_id, text, tuple(sentences), tuple(mentions))
+            plain = [Sentence(tokenize(text[b:e], b)) for b, e in split_sentences(text)]
+            sentences = map(Sentence, (s.tokens for s in plain), document_labels(plain, mentions))
+            documents[doc_id] = Document(doc_id, text, sentences, tuple(mentions))
         except ValueError as exc:
             raise ValueError(f"{path}: record {index}: {exc}") from exc
     return Corpus(tuple(documents.values()))

@@ -5,9 +5,11 @@ All functions are pure; per-document counting order is deterministic.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .corpus import LABELS, Corpus, MentionSpan, Sentence, mentions_to_bio2
+from .corpus import LABELS, Corpus, MentionSpan, document_labels
 from .tagger import TaggerModel, decode_spans, predict, predict_batch  # noqa: F401
 
 
@@ -78,12 +80,18 @@ def count_document(predicted, gold) -> Counts:
     covering several gold spans counts once, while marking all of them
     matched.
     """
-    predicted = list(predicted)
-    gold = list(gold)
-    tp = sum(1 for p in predicted if any(weak_match(p, g) for g in gold))
-    fp = len(predicted) - tp
-    fn = sum(1 for g in gold if not any(weak_match(p, g) for p in predicted))
-    return Counts(tp=tp, fp=fp, fn=fn)
+    predicted, gold = list(predicted), list(gold)
+    tp = _weakly_matched(predicted, gold)
+    return Counts(tp=tp, fp=len(predicted) - tp, fn=len(gold) - _weakly_matched(gold, predicted))
+
+
+def _weakly_matched(spans, others) -> int:
+    """How many of ``spans`` weakly match one of ``others``, in O(n log n): a span
+    matches if the others beginning at or before its end reach its begin."""
+    others = sorted((o.begin, o.end) for o in others)
+    reach = list(accumulate((end for _, end in others), max, initial=-1))
+    begins = [begin for begin, _ in others]
+    return sum(reach[bisect_right(begins, s.end)] >= s.begin for s in spans)
 
 
 def micro_scores(counts) -> NerReport:
@@ -156,10 +164,11 @@ def evaluate(model_or_annotations, test_data, mode: str = "both") -> EvalReport:
     scoring units, which one loop scores: a Corpus gives one unit per
     document with its gold mentions, a list of gold-labeled sentences one
     unit ``sentence{n}`` per sentence with the spans of its labels.
-    Precomputed annotations are a {doc_id: [MentionSpan]} mapping and
-    require a Corpus; a model predicts all their sentences in one batched
-    call.  ``mode`` selects span scores, BIO2 scores, or both; spans are
-    decoded only for span scores.  Test data without a sentence is an error.
+    Precomputed annotations, a {doc_id: [MentionSpan]} mapping, require a
+    Corpus; a model predicts all sentences in one batched call.  ``mode``
+    selects span scores, BIO2 scores, or both; spans are decoded, and
+    annotations (disjoint per document) projected, only as needed.  Test
+    data without a sentence is an error.
     """
     if mode not in ("span", "bio", "both"):
         raise ValueError(f"unknown mode {mode!r}; expected span, bio or both")
@@ -188,23 +197,20 @@ def evaluate(model_or_annotations, test_data, mode: str = "both") -> EvalReport:
     predicted_seqs: list[list[str]] = []
     gold_seqs: list[list[str]] = []
     for unit_id, sentences, gold_spans in units:
-        predicted = [] if model is not None else list(annotations.get(unit_id, []))
-        for sentence in sentences:
-            if model is not None:
-                pred_labels = list(next(results).labels)
-                if want_span:
-                    predicted.extend(decode_spans(sentence, pred_labels, unit_id))
-            elif want_bio:
-                spans_here = [m for m in predicted if _touches_sentence(m, sentence)]
-                pred_labels = mentions_to_bio2(sentence, spans_here)
-            if want_bio:
-                if sentence.labels is None:
-                    raise ValueError(
-                        f"{unit_id}: sentence without gold labels "
-                        "(required for BIO2 scoring)"
-                    )
-                predicted_seqs.append(pred_labels)
-                gold_seqs.append(list(sentence.labels))
+        if model is not None:
+            pred_labels = [list(next(results).labels) for _ in sentences]
+            pairs = zip(sentences, pred_labels) if want_span else ()
+            predicted = [m for s, labels in pairs for m in decode_spans(s, labels, unit_id)]
+        else:
+            predicted = list(annotations.get(unit_id, []))
+            pred_labels = document_labels(sentences, predicted) if want_bio else []
+        if want_bio:
+            if any(sentence.labels is None for sentence in sentences):
+                raise ValueError(
+                    f"{unit_id}: sentence without gold labels (required for BIO2 scoring)"
+                )
+            gold_seqs.extend(list(sentence.labels) for sentence in sentences)
+            predicted_seqs.extend(pred_labels)
         if want_span:
             per_document.append((unit_id, count_document(predicted, gold_spans)))
 
@@ -215,15 +221,6 @@ def evaluate(model_or_annotations, test_data, mode: str = "both") -> EvalReport:
     if want_bio:
         report.bio = macro_bio(predicted_seqs, gold_seqs)
     return report
-
-
-def _touches_sentence(mention: MentionSpan, sentence: Sentence) -> bool:
-    if not sentence.tokens:
-        return False
-    return (
-        mention.begin < sentence.tokens[-1].end
-        and sentence.tokens[0].begin < mention.end
-    )
 
 
 def format_report(report: EvalReport) -> str:

@@ -215,6 +215,9 @@ MALFORMED_STANDOFF = {
     "overlapping mentions": ({"text": "Aspirin helps.",
                               "mentions": [{"begin": 0, "end": 7}, {"begin": 3, "end": 13}]},
                              "record 0: mentions overlap: [0, 7) and [3, 13)"),
+    "overlapping mentions in a blank text": (
+        {"text": "   ", "mentions": [{"begin": 0, "end": 2}, {"begin": 1, "end": 3}]},
+        "record 0: doc0: gold mentions overlap: [0, 2) and [1, 3)"),
 }
 
 

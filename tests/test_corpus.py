@@ -13,6 +13,8 @@ from seqtag.corpus import (
     MentionSpan,
     Sentence,
     Token,
+    document_from_rows,
+    document_labels,
     mentions_to_bio2,
     read_bio_column_file,
     read_standoff,
@@ -356,8 +358,6 @@ def test_bio_write_read_round_trip(tmp_path):
         [("Aspirin", "B"), ("works", "O")],
         [("antiplatelet", "B"), ("effect", "I"), (".", "O")],
     ]
-    from seqtag.corpus import document_from_rows
-
     original = Corpus((document_from_rows("doc0", rows),))
     write_bio_column_file(original, path)
     reread = read_bio_column_file(path)
@@ -479,32 +479,46 @@ def test_read_standoff_reads_a_10k_sentence_record_in_seconds(tmp_path):
     assert {s.labels for s in doc.sentences} == {("O", "O", "O", "B", "O", "O")}
 
 
-@pytest.fixture(scope="module")
-def standoff_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("standoff")
-
-
 @given(
-    st.lists(st.lists(st.sampled_from(["ab", "Cd", "efg", "h-Ij", "(kl)"]), min_size=1, max_size=4),
-             max_size=6),
+    st.lists(st.lists(st.sampled_from(["ab", "Cd", "efg", "h-Ij", "(kl)"]), max_size=4), max_size=6),
     st.lists(st.tuples(st.integers(0, 90), st.integers(1, 7)), max_size=10),
 )
-@settings(max_examples=200, deadline=None)
-def test_read_standoff_labels_project_all_mentions(standoff_dir, word_lists, spans):
-    """Each sentence's labels equal the projection of every mention of its record."""
-    text = " ".join("Word " + " ".join(words) + "." for words in word_lists)
+@settings(max_examples=300, deadline=None)
+def test_document_labels_project_all_mentions(word_lists, spans):
+    """Each sentence's labels equal the projection of every mention of its document."""
+    sentences, start = [], 0
+    for words in word_lists:  # an empty word list is an empty sentence
+        sentences.append(make_sentence(words, start=start))
+        start += sum(len(w) + 1 for w in words) + 1  # a two-character gap between sentences
     mentions, end = [], 0
-    for begin, size in sorted(spans):  # keep a disjoint subset inside the text
-        if begin >= end and begin + size <= len(text):
-            mentions.append(MentionSpan(begin, begin + size, "doc0"))
+    for begin, size in sorted(spans):  # a disjoint subset, some across sentence gaps
+        if begin >= end:
+            mentions.append(MentionSpan(begin, begin + size))
             end = begin + size
-    path = standoff_dir / "doc.json"
-    path.write_text(json.dumps({"text": text, "mentions": [
-        {"begin": m.begin, "end": m.end} for m in mentions]}), encoding="utf-8")
-    doc = read_standoff(path).documents[0]
-    assert len(doc.sentences) == len(word_lists)
-    for sentence in doc.sentences:
-        assert list(sentence.labels) == mentions_to_bio2(Sentence(sentence.tokens), mentions)
+    labels = document_labels(sentences, mentions[::-1])
+    assert labels == [mentions_to_bio2(sentence, mentions) for sentence in sentences]
+
+
+def test_document_labels_reject_overlap_anywhere_in_the_document():
+    first, second = make_sentence(["Alpha", "works."]), make_sentence(["Beta"], start=15)
+    overlapping = [MentionSpan(0, 13), MentionSpan(12, 18)]  # they share only whitespace
+    assert [mentions_to_bio2(s, [m]) for s, m in zip((first, second), overlapping)] == [
+        ["B", "I"], ["B"]]
+    with pytest.raises(ValueError, match=r"^mentions overlap: \[0, 13\) and \[12, 18\)$"):
+        document_labels([first, second], overlapping)
+    assert document_labels([], overlapping) == []  # with no sentence, the caller checks
+
+
+def test_write_bio_column_file_projects_a_10k_sentence_document_in_seconds(tmp_path):
+    rows = [[(f"Word{i}", "B"), ("sits", "O"), (".", "O")] for i in range(10_000)]
+    labeled = document_from_rows("doc0", rows)  # the id read_bio_column_file gives
+    unlabeled = Document("doc0", labeled.text, tuple(Sentence(s.tokens) for s in labeled.sentences),
+                         labeled.gold_mentions)
+    path = tmp_path / "long.bio"
+    started = time.perf_counter()
+    write_bio_column_file(Corpus((unlabeled,)), path)
+    assert time.perf_counter() - started < 5
+    assert read_bio_column_file(path) == Corpus((labeled,))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +527,6 @@ def test_read_standoff_labels_project_all_mentions(standoff_dir, word_lists, spa
 
 def _corpus_of(n_sentences):
     rows = [[(f"w{i}", "O"), ("x", "O")] for i in range(n_sentences)]
-    from seqtag.corpus import document_from_rows
-
     return Corpus((document_from_rows("d", rows),))
 
 

@@ -1,10 +1,20 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtag.corpus import Corpus, Document, MentionSpan, document_from_rows
+from seqtag.corpus import (
+    Corpus,
+    Document,
+    MentionSpan,
+    Sentence,
+    document_from_rows,
+    mentions_to_bio2,
+    split_sentences,
+    tokenize,
+)
 from seqtag.synth import SynthConfig, synthetic_corpus
 from seqtag.tagger import TrainingConfig, decode_spans, predict, train
 from seqtag.evaluation import (
@@ -246,6 +256,19 @@ def _non_overlapping(spans):
     return picked
 
 
+def test_count_document_scores_10k_spans_a_side_in_seconds():
+    gold = [MentionSpan(10 * i, 10 * i + 5) for i in range(10_000)]
+    predicted = [  # odd i inside gold i, even i in the gap after it
+        MentionSpan(10 * i + 2, 10 * i + 4) if i % 2 else MentionSpan(10 * i + 6, 10 * i + 9)
+        for i in range(10_000)
+    ]
+    predicted.append(MentionSpan(0, 30))  # overlaps predictions and matches golds 0-2
+    started = time.perf_counter()
+    counts = count_document(predicted, gold)
+    assert time.perf_counter() - started < 5
+    assert counts == Counts(tp=5001, fp=5000, fn=4998)
+
+
 # ---------------------------------------------------------------------------
 # evaluate() orchestration
 
@@ -365,3 +388,69 @@ def test_evaluate_model_equals_its_precomputed_annotations(tagged_sentences):
     }
     from_model = evaluate(model, held_out, mode="span")
     assert evaluate(annotations, held_out, mode="span") == from_model
+
+
+def test_evaluate_bio_rejects_overlapping_annotations_anywhere_in_a_document():
+    text = "Alpha works.   Beta rests."
+    sentences = [Sentence(tokenize(text[b:e], b)) for b, e in split_sentences(text)]
+    labeled = tuple(Sentence(s.tokens, ["O"] * len(s)) for s in sentences)
+    corpus = Corpus((Document("d0", text, labeled),))
+    annotations = {"d0": [MentionSpan(0, 13), MentionSpan(12, 18)]}  # they share whitespace
+    assert evaluate(annotations, corpus, mode="span").per_document == [("d0", Counts(fp=2))]
+    for mode in ("bio", "both"):
+        with pytest.raises(ValueError, match=r"^mentions overlap: \[0, 13\) and \[12, 18\)$"):
+            evaluate(annotations, corpus, mode=mode)
+
+
+def test_evaluate_bio_projects_a_10k_sentence_document_in_seconds():
+    rows = [[(f"Word{i}", "B"), ("sits", "O"), (".", "O")] for i in range(10_000)]
+    corpus = Corpus((document_from_rows("d0", rows),))
+    started = time.perf_counter()
+    report = evaluate({"d0": list(corpus.documents[0].gold_mentions)}, corpus, mode="bio")
+    assert time.perf_counter() - started < 5
+    assert report.bio.per_class["B"] == Counts(tp=10_000)
+    assert report.bio.macro_f1 == 1.0
+
+
+def ref_sentence_labels(sentence, mentions):
+    """A sentence's labels as evaluate projected them one sentence at a time:
+    mentions_to_bio2 over the annotations that touch the sentence's tokens."""
+    if not sentence.tokens:
+        return []
+    first, last = sentence.tokens[0].begin, sentence.tokens[-1].end
+    return mentions_to_bio2(sentence, [m for m in mentions if m.begin < last and first < m.end])
+
+
+_WORDS = st.sampled_from(["ab", "Cd", "efg", "h-Ij", "(kl)"])
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.lists(st.tuples(_WORDS, st.sampled_from("BIO")), max_size=4), min_size=1, max_size=4
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_evaluate_disjoint_annotations_equals_per_sentence_reference(docs, data):
+    corpus = Corpus(tuple(document_from_rows(f"d{n}", rows) for n, rows in enumerate(docs)))
+    annotations = {}
+    for doc in corpus.documents[: data.draw(st.integers(0, len(corpus.documents)))]:
+        raw = data.draw(st.lists(st.tuples(st.integers(0, len(doc.text) + 3), st.integers(1, 6))))
+        spans = [MentionSpan(begin, begin + size, doc.doc_id) for begin, size in raw]
+        annotations[doc.doc_id] = _non_overlapping(spans)[::-1]
+    report = evaluate(annotations, corpus, mode="both")
+    pred_seqs, gold_seqs, per_document = [], [], []
+    for doc in corpus.documents:
+        predicted = annotations.get(doc.doc_id, [])
+        pred_seqs += [ref_sentence_labels(s, predicted) for s in doc.sentences]
+        gold_seqs += [list(s.labels) for s in doc.sentences]
+        per_document.append((doc.doc_id, Counts(*ref_counts(predicted, doc.gold_mentions))))
+    assert report.per_document == per_document
+    assert report.bio == macro_bio(pred_seqs, gold_seqs)
+    assert (report.bio.macro_precision, report.bio.macro_recall) == pytest.approx(
+        ref_macro_bio(pred_seqs, gold_seqs), abs=1e-12
+    )
