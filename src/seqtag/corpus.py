@@ -105,9 +105,10 @@ class Document:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        object.__setattr__(
-            self, "gold_mentions", tuple(sorted(self.gold_mentions))
-        )
+        mentions = tuple(self.gold_mentions)
+        if any(b.begin < a.end for a, b in zip(mentions, mentions[1:])):  # not in order and apart
+            mentions = tuple(sorted(mentions))
+        object.__setattr__(self, "gold_mentions", mentions)
         for sentence in self.sentences:
             for tok in sentence.tokens:
                 if tok.end > len(self.text):
@@ -120,7 +121,7 @@ class Document:
                         f"{self.doc_id}: token text {tok.text!r} does not match "
                         f"document slice {self.text[tok.begin:tok.end]!r}"
                     )
-        check_non_overlapping(self.gold_mentions, what=f"{self.doc_id}: gold mentions")
+        _check_apart(self.gold_mentions, f"{self.doc_id}: gold mentions")
         for m in self.gold_mentions:
             if m.end > len(self.text):
                 raise ValueError(
@@ -148,11 +149,10 @@ class Corpus:
         return [s for doc in self.documents for s in doc.sentences]
 
 
-def check_non_overlapping(mentions, what: str = "mentions") -> None:
-    """Raise ValueError if any two spans in `mentions` overlap."""
-    ordered = sorted(mentions)
+def _check_apart(ordered, what: str) -> None:
+    """Raise ValueError if two of the sorted spans overlap; only neighbours can."""
     for prev, cur in zip(ordered, ordered[1:]):
-        if prev.overlaps(cur):
+        if cur.begin < prev.end:
             raise ValueError(
                 f"{what} overlap: [{prev.begin}, {prev.end}) and "
                 f"[{cur.begin}, {cur.end})"
@@ -208,14 +208,16 @@ def mentions_to_bio2(sentence: Sentence, mentions) -> list[str]:
     of each mention gets B.  A mention partially covering a token claims the
     whole token.  Overlapping mentions are rejected.
     """
-    check_non_overlapping(mentions)
-    labels = ["O"] * len(sentence.tokens)
-    for mention in sorted(mentions):
-        hit = [
-            i
-            for i, tok in enumerate(sentence.tokens)
-            if tok.begin < mention.end and mention.begin < tok.end
-        ]
+    ordered = sorted(mentions)
+    _check_apart(ordered, "mentions")
+    return _bio2(sentence.tokens, ordered)
+
+
+def _bio2(tokens, ordered) -> list[str]:
+    """``mentions_to_bio2`` of a sentence's tokens under sorted disjoint mentions."""
+    labels = ["O"] * len(tokens)
+    for mention in ordered:
+        hit = [i for i, t in enumerate(tokens) if t.begin < mention.end and mention.begin < t.end]
         if not hit:
             continue
         if labels[hit[0]] == "O":
@@ -230,15 +232,19 @@ def document_labels(sentences, mentions) -> list[list[str]]:
     mentions, in O(n log n): the mentions are sorted and overlap-checked once
     (no sentence, no check), and each sentence gets those touching its tokens
     by bisection, as the begins and ends of disjoint mentions both ascend."""
-    if not sentences:
+    return _runs_labels([s.tokens for s in sentences], sorted(mentions))
+
+
+def _runs_labels(runs, ordered) -> list[list[str]]:
+    """``document_labels`` of sentences' token runs under sorted mentions."""
+    if not runs:
         return []
-    ordered = sorted(mentions)
-    check_non_overlapping(ordered)
+    _check_apart(ordered, "mentions")
     begins, ends = [m.begin for m in ordered], [m.end for m in ordered]
-    spans = [(s.tokens[0].begin, s.tokens[-1].end) if s.tokens else (0, 0) for s in sentences]
+    spans = [(tokens[0].begin, tokens[-1].end) if tokens else (0, 0) for tokens in runs]
     return [
-        mentions_to_bio2(s, ordered[bisect_right(ends, b) : bisect_left(begins, e)])
-        for s, (b, e) in zip(sentences, spans)
+        _bio2(tokens, ordered[bisect_right(ends, b) : bisect_left(begins, e)])
+        for tokens, (b, e) in zip(runs, spans)
     ]
 
 
@@ -385,9 +391,10 @@ def read_standoff(path) -> Corpus:
                 except (KeyError, TypeError, ValueError, OverflowError):
                     raise ValueError(f"mention {m!r} needs integer 'begin' and 'end'") from None
                 mentions.append(MentionSpan(begin, end, doc_id))
-            plain = [Sentence(tokenize(text[b:e], b)) for b, e in split_sentences(text)]
-            sentences = map(Sentence, (s.tokens for s in plain), document_labels(plain, mentions))
-            documents[doc_id] = Document(doc_id, text, sentences, tuple(mentions))
+            runs = [tokenize(text[b:e], b) for b, e in split_sentences(text)]
+            mentions.sort()  # once: Document keeps mentions that are in order and apart
+            sentences = map(Sentence, runs, _runs_labels(runs, mentions))
+            documents[doc_id] = Document(doc_id, text, sentences, mentions)
         except ValueError as exc:
             raise ValueError(f"{path}: record {index}: {exc}") from exc
     return Corpus(tuple(documents.values()))

@@ -162,11 +162,13 @@ class LexicalEncoder:
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.dim = len(self.keys) + N_FLAGS
 
-    def code(self, token_text: str) -> tuple[list[int], SurfaceFlags]:
+    def code(self, token_text: str) -> tuple[tuple[int, ...], SurfaceFlags]:
+        """The slots of the token's known keys, as a tuple of ints that the
+        garbage collector stops tracking, and the token's flags."""
         keys = _lexical_keys(self.method, token_text)
-        return [self.index[k] for k in keys if k in self.index], surface_flags(token_text)
+        return tuple([self.index[k] for k in keys if k in self.index]), surface_flags(token_text)
 
-    def fill_row(self, code: tuple[list[int], SurfaceFlags], row: np.ndarray) -> None:
+    def fill_row(self, code: tuple[tuple[int, ...], SurfaceFlags], row: np.ndarray) -> None:
         slots, flags = code
         for i in slots:
             row[i] = 1.0

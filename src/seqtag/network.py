@@ -19,10 +19,10 @@ The LSTM cell uses the nonstandard state update
     s_t = tanh(cand_t * in_gate_t + s_{t-1} * forget_t),  h_t = s_t * out_gate_t
 
 i.e. the nonlinearity wraps the state accumulation and the hidden output has
-no second squashing; this exact form is reproduced deliberately.  One LSTM
-direction keeps its gate values in a (T, ..., 4*cells) activation block and
-its states in (T+1, ..., cells) arrays whose first row is zero.  Training
+no second squashing; this exact form is reproduced deliberately.  Training
 runs one sentence at a time; inference runs B of one length as (T, B, ...).
+At 20 cells a step costs numpy calls, not arithmetic, so both recurrence
+loops walk step views made once per call and update them in place.
 """
 from __future__ import annotations
 
@@ -69,35 +69,25 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _lstm_spec(prefix: str, in_dim: int, cells: int) -> list[tuple[str, tuple]]:
-    spec = []
-    for gate in _GATES:
-        spec.append((f"{prefix}.wx_{gate}", (cells, in_dim)))
-        spec.append((f"{prefix}.wh_{gate}", (cells, cells)))
-        spec.append((f"{prefix}.b_{gate}", (cells,)))
-    return spec
+    shapes = {"wx": (cells, in_dim), "wh": (cells, cells), "b": (cells,)}
+    return [(f"{prefix}.{kind}_{g}", shape) for g in _GATES for kind, shape in shapes.items()]
 
 
 def param_spec(config: NetworkConfig) -> list[tuple[str, tuple]]:
     """Ordered (name, shape) list of every tensor of the configuration."""
     d, cells, k = config.dense_size, config.lstm_cells, config.n_classes
-    spec: list[tuple[str, tuple]] = []
     if config.variant == "FF":
-        spec += [("dense1.w", (d, config.input_dim)), ("dense1.b", (d,))]
-        spec += [("dense2.w", (d, d)), ("dense2.b", (d,))]
-        spec += [("dense3.w", (d, d)), ("dense3.b", (d,))]
-        spec += [("out.w", (k, d)), ("out.b", (k,))]
-    elif config.variant == "LSTM":
-        spec += [("dense.w", (d, config.input_dim)), ("dense.b", (d,))]
-        spec += _lstm_spec("lstm1", d, cells)
-        spec += _lstm_spec("lstm2", cells, cells)
-        spec += [("out.w", (k, cells)), ("out.b", (k,))]
+        return [("dense1.w", (d, config.input_dim)), ("dense1.b", (d,)),
+                ("dense2.w", (d, d)), ("dense2.b", (d,)),
+                ("dense3.w", (d, d)), ("dense3.b", (d,)),
+                ("out.w", (k, d)), ("out.b", (k,))]
+    spec = [("dense.w", (d, config.input_dim)), ("dense.b", (d,))]
+    if config.variant == "LSTM":
+        spec += _lstm_spec("lstm1", d, cells) + _lstm_spec("lstm2", cells, cells)
     else:  # BLSTM
-        spec += [("dense.w", (d, config.input_dim)), ("dense.b", (d,))]
-        spec += _lstm_spec("fwd", d, cells)
-        spec += _lstm_spec("bwd", d, cells)
+        spec += _lstm_spec("fwd", d, cells) + _lstm_spec("bwd", d, cells)
         spec += _lstm_spec("decoder", 2 * cells, cells)
-        spec += [("out.w", (k, cells)), ("out.b", (k,))]
-    return spec
+    return spec + [("out.w", (k, cells)), ("out.b", (k,))]
 
 
 class Params(Mapping):
@@ -244,30 +234,31 @@ def lstm_forward(params: Params, prefix: str, xs: np.ndarray) -> tuple[np.ndarra
     A (T, in_dim) sentence and a (T, B, in_dim) batch of B sentences of one
     length run the same lines; no sentence reads another's values.  Returns
     the (T, ..., cells) hidden states; a backward direction runs on the
-    reversed view ``xs[::-1]``.  The input projection is one product over
-    the sequence, with its gate columns and the gate rows of ``wh`` halved.
-    Each step adds the recurrent term to its row of the activation block
-    ``act`` (candidate, input, forget, output), runs one ``tanh`` over it in
-    place and maps the gate columns z to ``0.5 * z + 0.5``: this is
-    sigmoid(a) = 0.5 * tanh(a/2) + 0.5 bit for bit, as halving is exact.
-    ``state`` and ``hidden`` are (T+1, ..., cells) with a zero first row, so
-    a step's previous values are the row above.
+    reversed view ``xs[::-1]``.  The input projection is one product into
+    ``act`` (candidate, input, forget, output), with the gate columns and the
+    gate rows of ``wh`` halved.  Each step, in its views of ``act``, ``state``
+    and ``hidden`` ((T+1, ..., cells), first row zero), adds ``np.dot(h_prev,
+    wh_t)``, takes the tanh and maps the gate columns z to ``0.5 * z + 0.5``
+    in place: sigmoid(a) = 0.5 * tanh(a/2) + 0.5 bit for bit, as halving is
+    exact.  Then s = tanh(c * i + s_prev * f) and h = s * o.
     """
     T, cells = xs.shape[0], params.fused[f"{prefix}.wh"].shape[1]
     half = np.where(np.arange(4 * cells) < cells, 1.0, 0.5)
-    # A transposed view: for one sentence, h @ wh_t is the BLAS call of wh @ h.
+    # A transposed view: for one sentence, np.dot(h, wh_t) is the BLAS call of wh @ h.
     wh_t = (params.fused[f"{prefix}.wh"] * half[:, None]).T
     act = (xs @ params.fused[f"{prefix}.wx"].T + params.fused[f"{prefix}.b"]) * half
-    cand, g_in, g_forget, g_out = (act[..., k * cells : (k + 1) * cells] for k in range(4))
+    blocks = (act[..., k * cells : (k + 1) * cells] for k in range(4))
     state, hidden = np.zeros((2, T + 1, *xs.shape[1:-1], cells))
-    for t in range(T):
-        a = act[t]
-        a += hidden[t] @ wh_t
+    for a, gates, c, i, f, o, s_prev, s, h_prev, h in zip(
+            act, act[..., cells:], *blocks, state[:-1], state[1:], hidden[:-1], hidden[1:]):
+        a += np.dot(h_prev, wh_t)
         np.tanh(a, out=a)
-        a[..., cells:] = 0.5 * a[..., cells:] + 0.5
-        np.tanh(cand[t] * g_in[t] + state[t] * g_forget[t], out=state[t + 1])
-        np.multiply(state[t + 1], g_out[t], out=hidden[t + 1])
-
+        gates *= 0.5
+        gates += 0.5
+        np.multiply(c, i, out=s)
+        s += s_prev * f
+        np.tanh(s, out=s)
+        np.multiply(s, o, out=h)
     cache = {"xs": xs, "act": act, "state": state, "hidden": hidden}
     return hidden[1:], cache
 
@@ -278,7 +269,9 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
     Block k of the pre-activation gradient is ``((x * partner) * gate) *
     slope`` in the chain rule's order, x being the state-update gradient
     (the hidden gradient for the output gate).  The factors are computed
-    first; per step run only the ``dh``/``ds`` chain and ``wh.T @ da``.
+    first.  Each step, walking reversed views, runs the ``dh``/``ds`` chain in
+    place, fills x = [dupdate, dupdate, dupdate, dh] in one buffer, builds
+    the product into its row of ``da_all`` and sets ``dh_next = wh.T @ da``.
     """
     act, state = cache["act"], cache["state"]
     T, cells = dhidden.shape
@@ -288,17 +281,21 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
     slope = np.concatenate([1.0 - cand * cand, 1.0 - act[:, cells:]], axis=1)
     state_slope = 1.0 - state[1:] * state[1:]  # through the tanh state wrap
     wh_t = params.fused[f"{prefix}.wh"].T
-
-    da_all = np.empty((T, 4 * cells))
-    dh_next, ds_next = np.zeros(cells), np.zeros(cells)
-    for t in range(T - 1, -1, -1):
-        dh = dhidden[t] + dh_next
-        dupdate = (ds_next + dh * g_out[t]) * state_slope[t]
-        ds_next = dupdate * g_forget[t]
-        x = np.concatenate([dupdate, dupdate, dupdate, dh])
-        da_all[t] = x * partner[t] * gate[t] * slope[t]
-        dh_next = wh_t @ da_all[t]
-
+    da_all, x = np.empty((T, 4 * cells)), np.zeros((4, cells))
+    dupdate, copies, dh, x_flat = x[0], x[1:3], x[3], x.reshape(-1)
+    dh_next, ds_next = np.zeros((2, cells))
+    views = (dhidden, g_out, g_forget, state_slope, partner, gate, slope, da_all)
+    for dh_t, o, f, s_slope, p, g, sl, da in zip(*(v[::-1] for v in views)):
+        np.add(dh_t, dh_next, out=dh)
+        np.multiply(dh, o, out=dupdate)
+        dupdate += ds_next
+        dupdate *= s_slope
+        np.multiply(dupdate, f, out=ds_next)
+        np.copyto(copies, dupdate)
+        np.multiply(x_flat, p, out=da)
+        da *= g
+        da *= sl
+        np.dot(wh_t, da, out=dh_next)
     grads.fused[f"{prefix}.wx"][...] = da_all.T @ cache["xs"]
     grads.fused[f"{prefix}.wh"][...] = da_all.T @ cache["hidden"][:-1]
     grads.fused[f"{prefix}.b"][...] = da_all.sum(axis=0)

@@ -463,20 +463,45 @@ def test_read_standoff_accepts_string_and_integer_doc_ids(tmp_path):
     assert [d.doc_id for d in read_standoff(path).documents] == ["a", "7"]
 
 
-def test_read_standoff_reads_a_10k_sentence_record_in_seconds(tmp_path):
+def _long_record(path, n_sentences):
+    """Write one standoff record of n one-mention sentences to ``path``."""
     parts, mentions, length = [], [], 0
-    for i in range(10_000):
+    for i in range(n_sentences):
         prefix = f"Patient {i} received "
         mentions.append({"begin": length + len(prefix), "end": length + len(prefix) + 8})
         parts.append(prefix + "Zoravium today. ")
         length += len(parts[-1])
-    path = tmp_path / "long.json"
     path.write_text(json.dumps({"text": "".join(parts), "mentions": mentions}), encoding="utf-8")
+    return path
+
+
+def test_read_standoff_reads_a_10k_sentence_record_in_seconds(tmp_path):
+    path = _long_record(tmp_path / "long.json", 10_000)
     started = time.perf_counter()
     doc = read_standoff(path).documents[0]
     assert time.perf_counter() - started < 5
     assert len(doc.sentences) == len(doc.gold_mentions) == 10_000
     assert {s.labels for s in doc.sentences} == {("O", "O", "O", "B", "O", "O")}
+
+
+def test_read_standoff_builds_each_sentence_once_and_sorts_mentions_once(tmp_path, monkeypatch):
+    path = _long_record(tmp_path / "long.json", 10_000)
+    calls = {"sentence": 0, "compare": 0}
+    build, less = Sentence.__post_init__, MentionSpan.__lt__
+
+    def counted_build(self):
+        calls["sentence"] += 1
+        build(self)
+
+    def counted_less(self, other):
+        calls["compare"] += 1
+        return less(self, other)
+
+    monkeypatch.setattr(Sentence, "__post_init__", counted_build)
+    monkeypatch.setattr(MentionSpan, "__lt__", counted_less)
+    doc = read_standoff(path).documents[0]
+    assert len(doc.sentences) == calls["sentence"] == 10_000
+    assert calls["compare"] == 9_999  # one pass over the mentions, which come in order
 
 
 @given(

@@ -170,11 +170,13 @@ def reference_lstm_backward(params, prefix, cache, dhidden, grads):
     return da_all @ params.fused[f"{prefix}.wx"]
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 7, 30])
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 27, 30])  # 27: a typical annotated sentence
 @pytest.mark.parametrize("reverse", [False, True])  # True: on the views xs[::-1], dhidden[::-1]
-@pytest.mark.parametrize("prefix", ["fwd", "decoder"])  # input width 150, 2 * cells
+# input width 150 (fwd, bwd), 2 * cells (decoder) and cells (the LSTM variant's lstm2)
+@pytest.mark.parametrize("prefix", ["fwd", "decoder", "bwd", "lstm2"])
 def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix):
-    config = NetworkConfig("BLSTM", input_dim=4, dense_size=150, lstm_cells=20)
+    variant = "LSTM" if prefix == "lstm2" else "BLSTM"
+    config = NetworkConfig(variant, input_dim=4, dense_size=150, lstm_cells=20)
     params = init_params(config, length)
     rng = np.random.default_rng(length + 50)
     in_dim = params.fused[f"{prefix}.wx"].shape[1]
@@ -196,6 +198,30 @@ def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix):
     for kind in ("wx", "wh", "b"):
         key = f"{prefix}.{kind}"
         assert np.array_equal(grads.fused[key], ref_grads.fused[key]), key
+
+
+@pytest.mark.parametrize("length", [1, 7, 27])
+def test_lstm_backward_leaves_its_inputs_and_repeats_bitwise(length):
+    """BPTT reads dhidden and the forward cache without writing them, so a
+    second call on the same cache writes the same gradient bits."""
+    config = NetworkConfig("BLSTM", input_dim=4, dense_size=150, lstm_cells=20)
+    params = init_params(config, 2)
+    rng = np.random.default_rng(length)
+    dhidden = rng.normal(size=(length, 40))[::-1, 20:]  # a view, as the BLSTM passes it
+    _, cache = lstm_forward(params, "bwd", rng.uniform(-2, 2, (length, 150))[::-1])
+    before = {key: value.copy() for key, value in cache.items()}
+    dhidden_before = dhidden.copy()
+
+    grads = zero_gradients(config)
+    dxs = lstm_backward(params, "bwd", cache, dhidden, grads)
+    first = {kind: grads.fused[f"bwd.{kind}"].copy() for kind in ("wx", "wh", "b")}
+    assert np.array_equal(dhidden, dhidden_before)
+    for key, value in before.items():
+        assert np.array_equal(cache[key], value), key
+    grads.flat[:] = np.nan  # the second call must overwrite every entry it wrote
+    assert lstm_backward(params, "bwd", cache, dhidden, grads).tobytes() == dxs.tobytes()
+    for kind, value in first.items():
+        assert grads.fused[f"bwd.{kind}"].tobytes() == value.tobytes(), kind
 
 
 @pytest.mark.parametrize("length", [0, 1, 7])
