@@ -247,12 +247,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             dense_size=args.dense_size,
             lstm_cells=args.lstm_cells,
         )
-        report = gradient_check(
-            config,
-            seed=args.seed,
-            tolerance=args.tolerance,
-            corruption=args.corruption,
-        )
+        report = gradient_check(config, seed=args.seed, tolerance=args.tolerance)
         print(report.summary())
         for name in sorted(report.per_block):
             print(f"    {name:<16} {report.per_block[name]:.3e}")
@@ -370,12 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-dim", type=int, default=6)
     p.add_argument("--dense-size", type=int, default=8)
     p.add_argument("--lstm-cells", type=int, default=4)
-    p.add_argument(
-        "--corruption",
-        type=float,
-        default=0.0,
-        help="negative control: offset added to one analytic gradient entry",
-    )
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic BIO corpus")

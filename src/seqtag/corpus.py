@@ -202,19 +202,13 @@ def tokenize(sentence_text: str, sentence_begin: int = 0) -> list[Token]:
 
 
 def mentions_to_bio2(sentence: Sentence, mentions) -> list[str]:
-    """Project character-span mentions onto per-token BIO2 labels.
-
-    A token overlapping a mention is inside it; the first overlapping token
-    of each mention gets B.  A mention partially covering a token claims the
-    whole token.  Overlapping mentions are rejected.
-    """
-    ordered = sorted(mentions)
-    _check_apart(ordered, "mentions")
-    return _bio2(sentence.tokens, ordered)
+    """Project character-span mentions onto one sentence's BIO2 labels: the
+    one-sentence case of ``document_labels``."""
+    return document_labels([sentence], mentions)[0]
 
 
 def _bio2(tokens, ordered) -> list[str]:
-    """``mentions_to_bio2`` of a sentence's tokens under sorted disjoint mentions."""
+    """The labels of a sentence's tokens under the sorted disjoint mentions."""
     labels = ["O"] * len(tokens)
     for mention in ordered:
         hit = [i for i, t in enumerate(tokens) if t.begin < mention.end and mention.begin < t.end]
@@ -228,10 +222,16 @@ def _bio2(tokens, ordered) -> list[str]:
 
 
 def document_labels(sentences, mentions) -> list[list[str]]:
-    """Each sentence's ``mentions_to_bio2`` labels under all of one document's
-    mentions, in O(n log n): the mentions are sorted and overlap-checked once
-    (no sentence, no check), and each sentence gets those touching its tokens
-    by bisection, as the begins and ends of disjoint mentions both ascend."""
+    """Project all of one document's character-span mentions onto each
+    sentence's per-token BIO2 labels.
+
+    A token overlapping a mention is inside it; the first overlapping token
+    of each mention gets B.  A mention partially covering a token claims the
+    whole token.  Overlapping mentions are rejected.  In O(n log n): the
+    mentions are sorted and overlap-checked once (no sentence, no check), and
+    each sentence gets those touching its tokens by bisection, as the begins
+    and ends of disjoint mentions both ascend.
+    """
     return _runs_labels([s.tokens for s in sentences], sorted(mentions))
 
 

@@ -193,13 +193,14 @@ class SentenceInput:
         return len(self.values)
 
 
-def sentence_input(xs, input_dim: int) -> SentenceInput:
-    """The record of a (T, input_dim) matrix; its all-zero columns add nothing."""
+def sentence_input(xs) -> SentenceInput:
+    """The record of a (T, V) matrix, of width V; its all-zero columns add
+    nothing.  The input layer checks the width against its own."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != input_dim:
-        raise ValueError(f"expected inputs of shape (T, {input_dim}), got {xs.shape}")
+    if xs.ndim != 2:
+        raise ValueError(f"expected inputs of shape (T, input_dim), got {xs.shape}")
     cols = np.flatnonzero(xs.any(axis=0))
-    return SentenceInput(cols, xs[:, cols], input_dim)
+    return SentenceInput(cols, xs[:, cols], xs.shape[1])
 
 
 def _input_forward(params, prefix, inputs: SentenceInput):
@@ -456,7 +457,6 @@ def gradient_check(
     seed: int = 0,
     tolerance: float = 1e-4,
     sequence_length: int = 5,
-    corruption: float = 0.0,
 ) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
@@ -464,10 +464,11 @@ def gradient_check(
     re-evaluated; the relative error is |analytic - numeric| over
     max(|analytic|, |numeric|, 1e-5).  Draws whose relu pre-activations sit
     within 1e-4 of a kink are redrawn (central differences are invalid
-    across the kink).  ``corruption`` is a negative-control knob: it is
-    added to one analytic gradient entry so tests can confirm the check
-    fails when gradients are wrong.  A non-finite analytic or numeric entry
-    counts as an infinite error.  The tolerance must be positive and finite.
+    across the kink).  The analytic gradients come from ``backward_bptt``,
+    looked up at call time, so a test can wrap it to inject a fault and
+    confirm that the check fails in that tensor's block.  A non-finite
+    analytic or numeric entry counts as an infinite error.  The tolerance
+    must be positive and finite.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -477,14 +478,13 @@ def gradient_check(
         params = init_params(config, draw_seed)
         rng = np.random.default_rng(draw_seed + 1)
         xs = rng.uniform(-1.0, 1.0, (sequence_length, config.input_dim))
-        inputs = sentence_input(xs, config.input_dim)  # every column active
+        inputs = sentence_input(xs)  # every column active
         gold = rng.integers(0, config.n_classes, sequence_length)
         _, cache = forward(inputs, config, params)
         if _min_relu_margin(cache) > 1e-4:
             break
 
     analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
-    analytic[next(iter(analytic))].flat[0] += corruption
 
     per_block: dict[str, float] = {}
     for name in analytic:

@@ -1,5 +1,7 @@
-"""File writers shared by the tests."""
+"""File writers and fault injectors shared by the tests."""
 import numpy as np
+
+import seqtag.network
 
 
 def write_embeddings_file(path, words: list[str], vectors: np.ndarray) -> None:
@@ -8,3 +10,16 @@ def write_embeddings_file(path, words: list[str], vectors: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for word, row in zip(words, vectors):
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
+
+
+def corrupt_gradient(monkeypatch, name: str, offset: float) -> None:
+    """Negative control: wrap ``backward_bptt`` so that ``offset`` is added to
+    the first entry of the analytic gradient of tensor ``name``."""
+    exact = seqtag.network.backward_bptt
+
+    def corrupted(*args):
+        grads = exact(*args)
+        grads[name].flat[0] += offset
+        return grads
+
+    monkeypatch.setattr(seqtag.network, "backward_bptt", corrupted)

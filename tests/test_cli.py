@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import pathlib
 import re
@@ -9,7 +10,7 @@ from seqtag.cli import build_parser, main
 from seqtag.corpus import read_bio_column_file, read_standoff, write_bio_column_file
 from seqtag.synth import SynthConfig, synthetic_corpus
 
-from helpers import write_embeddings_file
+from helpers import corrupt_gradient, write_embeddings_file
 
 
 @pytest.fixture(scope="module")
@@ -529,11 +530,26 @@ def test_gradcheck_passes_and_reports_blocks(tmp_path, capsys):
     assert payload["checks"][0]["per_block"]
 
 
-def test_gradcheck_negative_control_fails(capsys):
-    for corruption in ("0.1", "nan", "inf"):
-        code = run(["gradcheck", "--network", "FF", "--corruption", corruption])
+def test_gradcheck_negative_control_fails(capsys, monkeypatch):
+    for corruption in (0.1, float("nan"), float("inf")):
+        with monkeypatch.context() as patch:
+            corrupt_gradient(patch, "dense1.w", corruption)
+            code = run(["gradcheck", "--network", "FF"])
         assert code == 1, corruption
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_has_no_corruption_option(capsys):
+    # The negative control lives in the tests: they wrap backward_bptt.
+    assert run(["gradcheck", "--network", "FF", "--corruption", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR usage: unrecognized arguments: --corruption 0.1\n"
+    assert captured.out == ""
+
+
+def test_gradcheck_rejects_a_non_positive_input_dim(capsys):
+    assert run(["gradcheck", "--network", "FF", "--input-dim", "0"]) == 1
+    assert capsys.readouterr().err == "ERROR invalid-input: input_dim must be positive\n"
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "0", "inf"])
@@ -693,8 +709,111 @@ def test_run_record_is_the_command_and_its_own_flags(tmp_path, bio_corpus_path):
         assert (records[command]["encoder"], records[command]["network"]) == ("DICT", "FF")
     assert records["annotate"]["text"] == "Aspirin helps."
     assert {k: records["gradcheck"][k] for k in (
-        "tolerance", "input_dim", "dense_size", "lstm_cells", "corruption"
-    )} == {
-        "tolerance": 0.001, "input_dim": 5, "dense_size": 7, "lstm_cells": 3,
-        "corruption": 0.0,
+        "tolerance", "input_dim", "dense_size", "lstm_cells"
+    )} == {"tolerance": 0.001, "input_dim": 5, "dense_size": 7, "lstm_cells": 3}
+
+
+# Every option of every subcommand, besides -h/--help.  Adding or dropping one
+# is a change to this table.
+CLI_OPTIONS = {
+    "train": ["--corpus", "--format", "--seed", "--model", "--encoder", "--network",
+              "--epochs", "--train-size", "--embeddings"],
+    "annotate": ["--model", "--text", "--input", "--out"],
+    "evaluate": ["--corpus", "--format", "--seed", "--model", "--report", "--mode",
+                 "--train-size", "--test-size"],
+    "compare-configs": ["--corpus", "--format", "--seed", "--report", "--epochs",
+                        "--train-size", "--test-size", "--embeddings"],
+    "gradcheck": ["--seed", "--report", "--network", "--tolerance", "--input-dim",
+                  "--dense-size", "--lstm-cells"],
+    "synth": ["--seed", "--sentences", "--misspell-rate", "--case-mangle-rate",
+              "--mention-density", "--out"],
+}
+
+
+def test_cli_options_are_the_declared_table():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        command: [
+            flag for a in p._actions if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings
+        ]
+        for command, p in subparsers.choices.items()
     }
+    assert options == CLI_OPTIONS
+
+
+def test_train_rejects_an_empty_token_field(tmp_path, capsys):
+    corpus = tmp_path / "corpus.bio"
+    corpus.write_text("\tO\n", encoding="utf-8")
+    assert run(["train", "--corpus", str(corpus), "--model", str(tmp_path / "m.stm")]) == 1
+    assert capsys.readouterr().err == f"ERROR invalid-input: {corpus}:1: empty token field\n"
+    assert not (tmp_path / "m.stm").exists()
+
+
+@pytest.fixture(scope="module")
+def narrow_model_body(tmp_path_factory):
+    """The checksummed body of an FF model trained on a 6-sentence synth seed-1
+    corpus, whose TRI encoder has 157 columns."""
+    folder = tmp_path_factory.mktemp("narrow")
+    corpus, model = folder / "corpus.bio", folder / "model.stm"
+    assert run(["synth", "--seed", "1", "--sentences", "6", "--out", str(corpus)]) == 0
+    assert run(
+        ["train", "--corpus", str(corpus), "--model", str(model), "--network", "FF",
+         "--epochs", "1"]
+    ) == 0
+    return model.read_bytes()[:-32]
+
+
+def _split_header(body):
+    """A model body's header bytes and the tensor data after them."""
+    end = 16 + int.from_bytes(body[8:16], "little")
+    return body[16:end], body[end:]
+
+
+def _with_header(body, header: bytes):
+    return body[:8] + len(header).to_bytes(8, "little") + header + _split_header(body)[1]
+
+
+def _one_column_wider(body):
+    """input_dim and the input weight's manifest entry one wider, with one
+    input-weight row more of tensor data."""
+    header = json.loads(_split_header(body)[0])
+    header["network"]["input_dim"] += 1
+    header["tensors"][0][1][1] += 1
+    row = bytes(8 * header["network"]["dense_size"])
+    return _with_header(body, json.dumps(header).encode()) + row
+
+
+MALFORMED_MODEL_BODIES = {
+    "truncated": (lambda body: body[:8], r"checksum mismatch \(file truncated\)"),
+    "header-past-end": (
+        lambda body: body[:8] + len(body).to_bytes(8, "little") + body[16:],
+        "header extends past end of file",
+    ),
+    "header-not-json": (
+        lambda body: _with_header(body, b"{" * len(_split_header(body)[0])),
+        r"header is not UTF-8 JSON \(.+\)",
+    ),
+    "data-one-float-short": (
+        lambda body: body[:-8], "tensor data does not match the manifest's size"
+    ),
+    "input-dim-one-wider": (
+        _one_column_wider,
+        "encoder dimension 157 does not match network input_dim 158",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_BODIES))
+def test_annotate_rejects_a_malformed_model_file(tmp_path, narrow_model_body, capsys, case):
+    edit, message = MALFORMED_MODEL_BODIES[case]
+    body = edit(narrow_model_body)
+    path = tmp_path / "model.stm"
+    path.write_bytes(body + hashlib.sha256(body).digest())  # re-checksummed
+    assert run(["annotate", "--model", str(path), "--text", "Aspirin helps."]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"ERROR invalid-input: {re.escape(str(path))}: {message}\n",
+                        captured.err), captured.err
+    assert captured.out == ""

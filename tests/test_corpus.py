@@ -65,6 +65,8 @@ def test_document_validates_token_slices():
     tok = Token("xyz", 0, 3)
     with pytest.raises(ValueError):
         Document("d", "abc", (Sentence((tok,)),))
+    with pytest.raises(ValueError, match=r"^d: token at \[0, 4\) outside text of length 3$"):
+        Document("d", "abc", (Sentence((Token("abcd", 0, 4),)),))
 
 
 def test_document_rejects_out_of_bounds_mention():
@@ -586,6 +588,12 @@ def test_sample_split_train_set_does_not_depend_on_test_size(n_sentences):
         train_only, _ = sample_split(corpus, n_train, 0, seed)
         assert [id(s) for s in train] == [id(s) for s in train_only]
         assert not {id(s) for s in test} & {id(s) for s in train_only}
+
+
+@pytest.mark.parametrize("sizes", [(-1, 3), (3, -1)])
+def test_sample_split_rejects_a_negative_size(sizes):
+    with pytest.raises(ValueError, match="^sample sizes must be non-negative$"):
+        sample_split(_corpus_of(10), *sizes, seed=0)
 
 
 def test_sample_split_reports_available_count():

@@ -219,6 +219,14 @@ def test_build_encoder_validates():
         message = f"an embedding table is read only by encoder EMB, not {method}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             build_encoder(method, [sentence_of("a")], table=table)
+        with pytest.raises(ValueError, match=f"^{method} encoder needs training sentences$"):
+            build_encoder(method)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2,)])
+def test_embedding_table_rejects_rows_that_do_not_match_its_words(shape):
+    with pytest.raises(ValueError, match="^embedding matrix shape does not match word list$"):
+        EmbeddingTable(["alpha", "beta"], np.ones(shape))
 
 
 def test_encode_sentence_shape_and_empty():

@@ -320,6 +320,13 @@ def test_evaluate_missing_gold_labels_for_bio():
         evaluate({doc.doc_id: []}, Corpus((unlabeled,)), mode="bio")
 
 
+def test_evaluate_model_rejects_an_unlabeled_test_sentence(tagged_sentences):
+    model, held_out = tagged_sentences
+    sentence = held_out.sentences[0]
+    with pytest.raises(ValueError, match="^test sentence 1 has no gold labels$"):
+        evaluate(model, [sentence, Sentence(sentence.tokens, None)])
+
+
 def test_report_formats_agree():
     corpus = _gold_corpus()
     report = evaluate({"d0": list(corpus.documents[0].gold_mentions)}, corpus)

@@ -22,6 +22,8 @@ from seqtag.network import (
     zero_gradients,
 )
 
+from helpers import corrupt_gradient
+
 # Scalar single-cell reference trace, computed by an independent pure-Python
 # evaluation of the cell equations (hand-set weights, 3-step input) before
 # the array implementation was written.
@@ -98,7 +100,7 @@ def test_lstm_backward_direction_realigns_states():
     rng = np.random.default_rng(3)
     cfg = NetworkConfig("BLSTM", input_dim=4, dense_size=5, lstm_cells=3)
     params = init_params(cfg, 1)
-    _, cache = forward(sentence_input(rng.uniform(-1, 1, (5, 4)), 4), cfg, params)
+    _, cache = forward(sentence_input(rng.uniform(-1, 1, (5, 4))), cfg, params)
     h = np.maximum(cache["dense"]["pre"], 0.0)
     h_fwd, _ = lstm_forward(params, "fwd", h)
     h_bwd, _ = lstm_forward(params, "bwd", h[::-1])
@@ -268,11 +270,6 @@ def test_softmax_rows_sum_to_one():
 # forward stacks
 
 
-def as_input(xs):
-    """The record ``forward`` reads of a (T, V) test matrix."""
-    return sentence_input(xs, xs.shape[1])
-
-
 @pytest.fixture(params=["FF", "LSTM", "BLSTM"])
 def small_config(request):
     return NetworkConfig(request.param, input_dim=6, dense_size=8, lstm_cells=4)
@@ -280,13 +277,13 @@ def small_config(request):
 
 def test_zero_params_give_uniform_distributions(small_config):
     params = Params(param_spec(small_config))
-    ys, _ = forward(as_input(np.ones((4, 6))), small_config, params)
+    ys, _ = forward(sentence_input(np.ones((4, 6))), small_config, params)
     assert np.allclose(ys, 1.0 / 3.0)
 
 
 def test_empty_sentence_gives_empty_outputs(small_config):
     params = init_params(small_config, 0)
-    ys, cache = forward(as_input(np.zeros((0, 6))), small_config, params)
+    ys, cache = forward(sentence_input(np.zeros((0, 6))), small_config, params)
     assert ys.shape == (0, 3)
     grads = zero_gradients(small_config)
     grads.flat[:] = 1.0  # stale values from an earlier sentence
@@ -298,9 +295,9 @@ def test_ff_is_context_free():
     cfg = NetworkConfig("FF", input_dim=6, dense_size=8, lstm_cells=4)
     params = init_params(cfg, 2)
     xs = np.random.default_rng(0).uniform(-1, 1, (5, 6))
-    ys, _ = forward(as_input(xs), cfg, params)
+    ys, _ = forward(sentence_input(xs), cfg, params)
     perm = [4, 2, 0, 3, 1]
-    ys_perm, _ = forward(as_input(xs[perm]), cfg, params)
+    ys_perm, _ = forward(sentence_input(xs[perm]), cfg, params)
     assert np.allclose(ys_perm, ys[perm])
 
 
@@ -311,8 +308,8 @@ def test_lstm_is_causal():
     xs = rng.uniform(-1, 1, (6, 6))
     changed = xs.copy()
     changed[-1] = rng.uniform(-1, 1, 6)
-    ys, _ = forward(as_input(xs), cfg, params)
-    ys2, _ = forward(as_input(changed), cfg, params)
+    ys, _ = forward(sentence_input(xs), cfg, params)
+    ys2, _ = forward(sentence_input(changed), cfg, params)
     assert np.allclose(ys[:-1], ys2[:-1])
     assert not np.allclose(ys[-1], ys2[-1])
 
@@ -324,8 +321,8 @@ def test_blstm_context_flows_backward():
     xs = rng.uniform(-1, 1, (6, 6))
     changed = xs.copy()
     changed[-1] = rng.uniform(-1, 1, 6)
-    ys, _ = forward(as_input(xs), cfg, params)
-    ys2, _ = forward(as_input(changed), cfg, params)
+    ys, _ = forward(sentence_input(xs), cfg, params)
+    ys2, _ = forward(sentence_input(changed), cfg, params)
     assert not np.allclose(ys[0], ys2[0])
 
 
@@ -374,7 +371,7 @@ def test_loss_length_mismatch():
 
 
 def numeric_gradients(xs, gold, config, params, eps=1e-6):
-    grads, inputs = {}, as_input(xs)
+    grads, inputs = {}, sentence_input(xs)
     for name, tensor in params.items():
         num = np.zeros(tensor.shape)
         for j in np.ndindex(tensor.shape):  # by index: the input weight is a transposed view
@@ -413,7 +410,7 @@ def test_bptt_matches_finite_differences(variant, seed):
     rng = np.random.default_rng(seed + 100)
     xs = rng.uniform(-1, 1, (4, 5))
     gold = rng.integers(0, 3, 4)
-    _, cache = forward(as_input(xs), config, params)
+    _, cache = forward(sentence_input(xs), config, params)
     analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
     assert_matches_numeric(analytic, numeric_gradients(xs, gold, config, params))
 
@@ -425,7 +422,7 @@ def test_sparse_input_gradient_matches_finite_differences(variant):
     rng = np.random.default_rng(8)
     xs = multi_hot(rng, 4, 9, np.arange(6))  # columns 6..8 stay all-zero
     gold = rng.integers(0, 3, 4)
-    _, cache = forward(as_input(xs), config, params)
+    _, cache = forward(sentence_input(xs), config, params)
     analytic = backward_bptt(cache, gold, config, params, zero_gradients(config))
     assert_matches_numeric(analytic, numeric_gradients(xs, gold, config, params))
     weight = analytic[next(iter(analytic))]
@@ -456,7 +453,7 @@ def input_layer(config):
 def test_sentence_input_keeps_the_active_columns_and_their_values(kind):
     rng = np.random.default_rng(12)
     xs = np.zeros((0, 10)) if kind == "empty" else input_case(kind, rng)
-    record = sentence_input(xs, 10)
+    record = sentence_input(xs)
     assert isinstance(record, SentenceInput) and record.input_dim == 10
     cols = np.flatnonzero(xs.any(axis=0))
     assert record.cols.dtype == cols.dtype and record.cols.tobytes() == cols.tobytes()
@@ -466,16 +463,16 @@ def test_sentence_input_keeps_the_active_columns_and_their_values(kind):
     assert len(record) == len(xs)
 
 
-@pytest.mark.parametrize("shape", [(5, 9), (5, 11), (10,), (2, 5, 10)])
+@pytest.mark.parametrize("shape", [(10,), (2, 5, 10)])
 def test_sentence_input_rejects_other_shapes(shape):
-    with pytest.raises(ValueError, match=r"expected inputs of shape \(T, 10\), got "):
-        sentence_input(np.zeros(shape), 10)
+    with pytest.raises(ValueError, match=r"expected inputs of shape \(T, input_dim\), got "):
+        sentence_input(np.zeros(shape))
 
 
 def test_forward_rejects_a_record_of_another_width(small_config):
     params = init_params(small_config, 0)
     with pytest.raises(ValueError, match="inputs of width 7 for input_dim 6"):
-        forward(sentence_input(np.ones((3, 7)), 7), small_config, params)
+        forward(sentence_input(np.ones((3, 7))), small_config, params)
 
 
 @pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])
@@ -487,7 +484,7 @@ def test_input_layer_matches_full_product(variant, kind):
     layer = input_layer(config)
     params[f"{layer}.b"][:] = rng.uniform(-0.5, 0.5, 6)
     xs, gold = input_case(kind, rng), rng.integers(0, 3, 5)
-    _, cache = forward(as_input(xs), config, params)
+    _, cache = forward(sentence_input(xs), config, params)
     full = xs @ params[f"{layer}.w"].T + params[f"{layer}.b"]
     np.testing.assert_allclose(cache[layer]["pre"], full, rtol=0, atol=1e-12)
     assert np.array_equal(cache[layer]["cols"], np.flatnonzero(xs.any(axis=0)))
@@ -502,11 +499,11 @@ def test_forward_reads_only_active_input_columns(variant, kind):
     config = NetworkConfig(variant, input_dim=10, dense_size=6, lstm_cells=3)
     params = init_params(config, 3)
     xs = input_case(kind, np.random.default_rng(10))
-    clean, _ = forward(as_input(xs), config, params)
+    clean, _ = forward(sentence_input(xs), config, params)
     idle = ~xs.any(axis=0)
     assert idle.sum() >= 4
     params[f"{input_layer(config)}.w"][:, idle] = np.nan  # nan * 0 is nan
-    poisoned, _ = forward(as_input(xs), config, params)
+    poisoned, _ = forward(sentence_input(xs), config, params)
     assert np.isfinite(poisoned).all()
     assert poisoned.tobytes() == clean.tobytes()
 
@@ -521,10 +518,10 @@ def test_reused_gradient_buffer_matches_fresh_buffer(variant, lengths):
         (rng.uniform(-1, 1, (T, 5)), rng.integers(0, 3, T)) for T in lengths
     ]
     reused = zero_gradients(config)
-    backward_bptt(forward(as_input(xs_a), config, params)[1], gold_a, config, params, reused)
-    backward_bptt(forward(as_input(xs_b), config, params)[1], gold_b, config, params, reused)
+    backward_bptt(forward(sentence_input(xs_a), config, params)[1], gold_a, config, params, reused)
+    backward_bptt(forward(sentence_input(xs_b), config, params)[1], gold_b, config, params, reused)
     fresh = zero_gradients(config)
-    backward_bptt(forward(as_input(xs_b), config, params)[1], gold_b, config, params, fresh)
+    backward_bptt(forward(sentence_input(xs_b), config, params)[1], gold_b, config, params, fresh)
     assert reused.flat.tobytes() == fresh.flat.tobytes()
 
 
@@ -536,10 +533,10 @@ def test_reused_buffer_with_disjoint_input_columns_matches_fresh(variant):
     xs_a, xs_b = multi_hot(rng, 5, 10, np.arange(5)), multi_hot(rng, 3, 10, np.arange(5, 10))
     gold_a, gold_b = rng.integers(0, 3, 5), rng.integers(0, 3, 3)
     reused = zero_gradients(config)
-    backward_bptt(forward(as_input(xs_a), config, params)[1], gold_a, config, params, reused)
-    backward_bptt(forward(as_input(xs_b), config, params)[1], gold_b, config, params, reused)
+    backward_bptt(forward(sentence_input(xs_a), config, params)[1], gold_a, config, params, reused)
+    backward_bptt(forward(sentence_input(xs_b), config, params)[1], gold_b, config, params, reused)
     fresh = zero_gradients(config)
-    backward_bptt(forward(as_input(xs_b), config, params)[1], gold_b, config, params, fresh)
+    backward_bptt(forward(sentence_input(xs_b), config, params)[1], gold_b, config, params, fresh)
     assert reused.flat.tobytes() == fresh.flat.tobytes()
 
 
@@ -550,7 +547,7 @@ def test_sgd_after_bptt_equals_dense_update(variant):
     rng = np.random.default_rng(7)
     for columns in (np.arange(5), np.arange(4, 10)):
         xs, gold = multi_hot(rng, 4, 10, columns), rng.integers(0, 3, 4)
-        backward_bptt(forward(as_input(xs), config, params)[1], gold, config, params, grads)
+        backward_bptt(forward(sentence_input(xs), config, params)[1], gold, config, params, grads)
         expected = params.flat - 0.05 * grads.flat
         sgd_step(params, grads, 0.05)
         assert params.flat.tobytes() == expected.tobytes()
@@ -561,7 +558,7 @@ def test_sgd_rejects_nan_in_active_input_column():
     params, grads = init_params(config, 1), zero_gradients(config)
     rng = np.random.default_rng(7)
     xs, gold = multi_hot(rng, 4, 10, np.arange(5)), rng.integers(0, 3, 4)
-    backward_bptt(forward(as_input(xs), config, params)[1], gold, config, params, grads)
+    backward_bptt(forward(sentence_input(xs), config, params)[1], gold, config, params, grads)
     grads["dense.w"][2, grads.input_columns[-1]] = np.nan
     before = params.flat.copy()
     with pytest.raises(ValueError, match=r"non-finite gradient in dense\.w"):
@@ -582,7 +579,7 @@ def test_training_step_allocates_no_full_width_temporaries():
     grads = zero_gradients(config)
     xs = multi_hot(rng, 7, config.input_dim, np.arange(config.input_dim), per_token=8)
     gold = rng.integers(0, 3, 7)
-    _, cache = forward(as_input(xs), config, params)
+    _, cache = forward(sentence_input(xs), config, params)
     tracemalloc.start()
     try:
         backward_bptt(cache, gold, config, params, grads)
@@ -634,7 +631,7 @@ def test_saturated_perfect_predictions_have_tiny_gradients():
     params["out.b"][1] = 50.0  # saturate towards class 1 for every token
     xs = np.random.default_rng(0).uniform(-1, 1, (3, 4))
     gold = np.array([1, 1, 1])
-    ys, cache = forward(as_input(xs), config, params)
+    ys, cache = forward(sentence_input(xs), config, params)
     assert loss(ys, gold) < 1e-8
     grads = backward_bptt(cache, gold, config, params, zero_gradients(config))
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -707,11 +704,38 @@ def test_gradient_check_passes(variant):
     assert report.per_block  # per-block errors reported
 
 
-def test_gradient_check_negative_control_fails():
+def failing_blocks(report):
+    return {name for name, err in report.per_block.items() if err >= report.tolerance}
+
+
+def test_gradient_check_negative_control_fails(monkeypatch):
     config = NetworkConfig("FF", input_dim=5, dense_size=6, lstm_cells=3)
     for corruption in (0.1, math.nan, math.inf):
-        report = gradient_check(config, seed=0, tolerance=1e-4, corruption=corruption)
+        with monkeypatch.context() as patch:
+            corrupt_gradient(patch, "dense1.w", corruption)
+            report = gradient_check(config, seed=0, tolerance=1e-4)
         assert not report.passed, corruption
+        assert failing_blocks(report) == {"dense1.w"}, corruption
+
+
+# One wx, one wh and one b tensor of each LSTM layer; together they hit all four gates.
+CORRUPTED_TENSORS = {
+    "FF": ["out.b"],
+    "LSTM": ["out.b", "lstm1.wx_c", "lstm1.wh_i", "lstm1.b_f",
+             "lstm2.wx_o", "lstm2.wh_c", "lstm2.b_i"],
+    "BLSTM": ["out.b", "fwd.wx_i", "fwd.wh_f", "fwd.b_o", "bwd.wx_f", "bwd.wh_o", "bwd.b_c",
+              "decoder.wx_o", "decoder.wh_c", "decoder.b_i"],
+}
+
+
+@pytest.mark.parametrize("variant, name", [
+    (variant, name) for variant, names in CORRUPTED_TENSORS.items() for name in names
+])
+def test_gradient_check_fails_in_exactly_the_corrupted_block(monkeypatch, variant, name):
+    config = NetworkConfig(variant, input_dim=3, dense_size=4, lstm_cells=2)
+    corrupt_gradient(monkeypatch, name, 0.1)
+    report = gradient_check(config, seed=0, tolerance=1e-4)
+    assert failing_blocks(report) == {name}
 
 
 def test_training_determinism_bit_exact():
@@ -724,7 +748,7 @@ def test_training_determinism_bit_exact():
         params, grads = init_params(cfg, 7), zero_gradients(cfg)
         for _ in range(10):
             for x, g in zip(xs, golds):
-                _, cache = forward(as_input(x), cfg, params)
+                _, cache = forward(sentence_input(x), cfg, params)
                 sgd_step(params, backward_bptt(cache, g, cfg, params, grads), 0.01)
         return params
 

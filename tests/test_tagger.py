@@ -104,6 +104,18 @@ def test_train_rejects_empty_input():
         quick_train([])
 
 
+def test_train_names_the_step_of_a_non_finite_gradient(tiny_sentences):
+    # A huge learning rate makes the weights, then a gradient, overflow.
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as raised:
+        quick_train(tiny_sentences, network="FF", learning_rate=1e300)
+    match = re.fullmatch(r"epoch (\d+), sentence (\d+): non-finite gradient in (\S+)",
+                         str(raised.value))
+    assert match, raised.value
+    assert int(match[2]) < len(tiny_sentences)
+    assert match[3] in {"dense1.w", "dense1.b", "dense2.w", "dense2.b",
+                        "dense3.w", "dense3.b", "out.w", "out.b"}
+
+
 def test_train_emb_requires_table(tiny_sentences):
     with pytest.raises(ValueError, match="EMB"):
         quick_train(tiny_sentences, encoder="EMB")
@@ -180,6 +192,11 @@ def test_decode_orphan_inside_opens_mention():
 def test_decode_length_mismatch():
     with pytest.raises(ValueError):
         decode_spans(make_sentence(["a"]), ["B", "O"])
+
+
+def test_decode_rejects_an_unknown_label():
+    with pytest.raises(ValueError, match="^unknown label 'X'$"):
+        decode_spans(make_sentence(["a", "b"]), ["B", "X"])
 
 
 @given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=14))
