@@ -463,7 +463,7 @@ def test_sentence_input_keeps_the_active_columns_and_their_values(kind):
     assert len(record) == len(xs)
 
 
-@pytest.mark.parametrize("shape", [(10,), (2, 5, 10)])
+@pytest.mark.parametrize("shape", [(), (5, 10, 1), (10,), (2, 5, 10)])
 def test_sentence_input_rejects_other_shapes(shape):
     with pytest.raises(ValueError, match=r"expected inputs of shape \(T, input_dim\), got "):
         sentence_input(np.zeros(shape))
