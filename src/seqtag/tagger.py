@@ -73,14 +73,6 @@ class TaggerModel:
     loss_trace: list[float] = field(default_factory=list, repr=False)
 
 
-def _recorder(encoder: TokenEncoder):
-    """Sentence -> ``SentenceInput`` for one ``train`` or ``predict_batch`` call.
-    Its sentences share one ``codes`` dict, so each distinct token text is
-    encoded once; each dense (T, input_dim) matrix dies as its record is made."""
-    codes: dict = {}
-    return lambda sentence: sentence_input(encode_sentence(encoder, sentence, codes))
-
-
 def train(
     train_sentences,
     encoder_method: str = "TRI",
@@ -119,7 +111,9 @@ def train(
     params = init_params(config, training.seed)
     grads = zero_gradients(config)
 
-    inputs = list(map(_recorder(encoder), sentences))
+    # One dense (T, input_dim) matrix is alive at a time: each becomes a record.
+    codes: dict = {}  # shared by every sentence, so each distinct text is encoded once
+    inputs = [sentence_input(encode_sentence(encoder, s, codes)) for s in sentences]
     golds = [
         np.array([LABEL_TO_INDEX[lab] for lab in s.labels], dtype=np.int64)
         for s in sentences
@@ -167,9 +161,9 @@ def predict_batch(model: TaggerModel, sentences: list) -> list[PredictionResult]
     for n, sentence in enumerate(sentences):
         groups.setdefault(len(sentence.tokens), []).append(n)
     results: list = [None] * len(sentences)
-    record = _recorder(model.encoder)
+    encoder, codes = model.encoder, {}
     for members in groups.values():
-        inputs = [record(sentences[n]) for n in members]
+        inputs = [sentence_input(encode_sentence(encoder, sentences[n], codes)) for n in members]
         if len(members) == 1:  # a sentence alone runs unbatched, as in training
             ys = forward(inputs[0], model.config, model.params)[0][:, None]
         else:

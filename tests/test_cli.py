@@ -28,6 +28,13 @@ def run(argv):
     return main(argv)
 
 
+def subcommand_parsers():
+    """Each subcommand's name and argparse parser."""
+    return next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
 def test_synth_command_writes_readable_corpus(tmp_path):
     out = tmp_path / "synth.bio"
     assert run(["synth", "--sentences", "15", "--seed", "3", "--out", str(out)]) == 0
@@ -120,6 +127,7 @@ def test_train_rejects_report_flag(tmp_path, bio_corpus_path, capsys):
         ["annotate", "--model", "m.stm", "--input"],  # --input without a file
         ["no-such-command"],
         [],
+        ["gradcheck", "--corruption", "0.1"],  # its negative control lives in the tests
     ],
 )
 def test_parse_errors_are_one_usage_line(tmp_path, monkeypatch, capsys, argv):
@@ -539,14 +547,6 @@ def test_gradcheck_negative_control_fails(capsys, monkeypatch):
         assert "FAIL" in capsys.readouterr().out
 
 
-def test_gradcheck_has_no_corruption_option(capsys):
-    # The negative control lives in the tests: they wrap backward_bptt.
-    assert run(["gradcheck", "--network", "FF", "--corruption", "0.1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "ERROR usage: unrecognized arguments: --corruption 0.1\n"
-    assert captured.out == ""
-
-
 def test_gradcheck_rejects_a_non_positive_input_dim(capsys):
     assert run(["gradcheck", "--network", "FF", "--input-dim", "0"]) == 1
     assert capsys.readouterr().err == "ERROR invalid-input: input_dim must be positive\n"
@@ -574,13 +574,8 @@ SEEDED_COMMANDS = {
 
 
 def test_seeded_commands_are_every_subcommand_with_a_seed_flag():
-    parser = build_parser()
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
     seeded = {
-        name for name, p in subparsers.choices.items()
-        if "--seed" in p._option_string_actions
+        name for name, p in subcommand_parsers().items() if "--seed" in p._option_string_actions
     }
     assert seeded == set(SEEDED_COMMANDS)
 
@@ -650,12 +645,8 @@ def test_annotate_and_evaluate_record_the_loaded_model(tmp_path, bio_corpus_path
 
 
 def _subcommand_dests(command):
-    parser = build_parser()
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
     return {
-        a.dest for a in subparsers.choices[command]._actions
+        a.dest for a in subcommand_parsers()[command]._actions
         if not isinstance(a, argparse._HelpAction)
     }
 
@@ -731,15 +722,9 @@ CLI_OPTIONS = {
 
 
 def test_cli_options_are_the_declared_table():
-    subparsers = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
     options = {
-        command: [
-            flag for a in p._actions if not isinstance(a, argparse._HelpAction)
-            for flag in a.option_strings
-        ]
-        for command, p in subparsers.choices.items()
+        command: [flag for flag in p._option_string_actions if flag not in ("-h", "--help")]
+        for command, p in subcommand_parsers().items()
     }
     assert options == CLI_OPTIONS
 

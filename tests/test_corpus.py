@@ -25,6 +25,8 @@ from seqtag.corpus import (
 )
 from seqtag.tagger import decode_spans
 
+from helpers import ref_bio2
+
 FIG_SENTENCE = "Aspirin has an antiplatelet effect."
 
 
@@ -523,7 +525,7 @@ def test_document_labels_project_all_mentions(word_lists, spans):
             mentions.append(MentionSpan(begin, begin + size))
             end = begin + size
     labels = document_labels(sentences, mentions[::-1])
-    assert labels == [mentions_to_bio2(sentence, mentions) for sentence in sentences]
+    assert labels == [ref_bio2(sentence, mentions) for sentence in sentences]
 
 
 def test_document_labels_reject_overlap_anywhere_in_the_document():

@@ -11,7 +11,6 @@ from seqtag.corpus import (
     MentionSpan,
     Sentence,
     document_from_rows,
-    mentions_to_bio2,
     split_sentences,
     tokenize,
 )
@@ -28,6 +27,8 @@ from seqtag.evaluation import (
     report_to_dict,
     weak_match,
 )
+
+from helpers import ref_bio2
 
 # ---------------------------------------------------------------------------
 # Brute-force reference evaluator (independent of the implementation): a
@@ -419,15 +420,6 @@ def test_evaluate_bio_projects_a_10k_sentence_document_in_seconds():
     assert report.bio.macro_f1 == 1.0
 
 
-def ref_sentence_labels(sentence, mentions):
-    """A sentence's labels as evaluate projected them one sentence at a time:
-    mentions_to_bio2 over the annotations that touch the sentence's tokens."""
-    if not sentence.tokens:
-        return []
-    first, last = sentence.tokens[0].begin, sentence.tokens[-1].end
-    return mentions_to_bio2(sentence, [m for m in mentions if m.begin < last and first < m.end])
-
-
 _WORDS = st.sampled_from(["ab", "Cd", "efg", "h-Ij", "(kl)"])
 
 
@@ -453,7 +445,7 @@ def test_evaluate_disjoint_annotations_equals_per_sentence_reference(docs, data)
     pred_seqs, gold_seqs, per_document = [], [], []
     for doc in corpus.documents:
         predicted = annotations.get(doc.doc_id, [])
-        pred_seqs += [ref_sentence_labels(s, predicted) for s in doc.sentences]
+        pred_seqs += [ref_bio2(s, predicted) for s in doc.sentences]
         gold_seqs += [list(s.labels) for s in doc.sentences]
         per_document.append((doc.doc_id, Counts(*ref_counts(predicted, doc.gold_mentions))))
     assert report.per_document == per_document
