@@ -10,7 +10,6 @@ from .corpus import (
     MentionSpan,
     Sentence,
     Token,
-    mentions_to_bio2,
     read_bio_column_file,
     read_standoff,
     sample_split,
@@ -29,7 +28,6 @@ from .evaluation import (
     evaluate,
     macro_bio,
     micro_scores,
-    weak_match,
 )
 from .network import NetworkConfig, gradient_check
 from .synth import SynthConfig, synthetic_corpus
@@ -68,7 +66,6 @@ __all__ = [
     "load_embeddings",
     "load_model",
     "macro_bio",
-    "mentions_to_bio2",
     "micro_scores",
     "predict",
     "predict_batch",
@@ -81,5 +78,4 @@ __all__ = [
     "synthetic_corpus",
     "tokenize",
     "train",
-    "weak_match",
 ]

@@ -90,9 +90,6 @@ class MentionSpan:
         if not 0 <= self.begin < self.end:
             raise ValueError(f"invalid mention interval [{self.begin}, {self.end})")
 
-    def overlaps(self, other: "MentionSpan") -> bool:
-        return self.begin < other.end and other.begin < self.end
-
 
 @dataclass(frozen=True)
 class Document:
@@ -201,12 +198,6 @@ def tokenize(sentence_text: str, sentence_begin: int = 0) -> list[Token]:
     ]
 
 
-def mentions_to_bio2(sentence: Sentence, mentions) -> list[str]:
-    """Project character-span mentions onto one sentence's BIO2 labels: the
-    one-sentence case of ``document_labels``."""
-    return document_labels([sentence], mentions)[0]
-
-
 def _bio2(tokens, ordered) -> list[str]:
     """The labels of a sentence's tokens under the sorted disjoint mentions."""
     labels = ["O"] * len(tokens)
@@ -287,7 +278,7 @@ def read_bio_column_file(path) -> Corpus:
             raise ValueError(
                 f"{path}:{lineno}: expected 'token<TAB>label', got {line!r}"
             )
-        elif not fields[0]:
+        elif not fields[0] or fields[0].isspace():
             raise ValueError(f"{path}:{lineno}: empty token field")
         elif fields[1] not in LABELS:
             raise ValueError(f"{path}:{lineno}: unknown label {fields[1]!r}")

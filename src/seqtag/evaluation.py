@@ -9,7 +9,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .corpus import LABELS, Corpus, MentionSpan, document_labels
+from .corpus import LABELS, Corpus, document_labels
+# predict: asserted by test_seqtag_attributes_restored_after_traced_run until ROADMAP item 1.
 from .tagger import TaggerModel, decode_spans, predict, predict_batch  # noqa: F401
 
 
@@ -57,25 +58,12 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def weak_match(p: MentionSpan, g: MentionSpan) -> bool:
-    """Weak annotation match: do the spans' character intervals intersect?
-
-    Implemented as the four endpoint-containment clauses, evaluated on the
-    stored (begin, end) offsets as closed intervals; equivalent to
-    max(begins) <= min(ends).
-    """
-    return (
-        (p.begin <= g.begin <= p.end)
-        or (p.begin <= g.end <= p.end)
-        or (g.begin <= p.begin <= g.end)
-        or (g.begin <= p.end <= g.end)
-    )
-
-
 def count_document(predicted, gold) -> Counts:
     """Count weak-match outcomes between one document's span sets.
 
-    A predicted span matching any gold span is one tp, matching none is one
+    A prediction and a gold span match when their offsets, read as closed
+    ``[begin, end]`` intervals, intersect, so [0, 5) and [5, 9) match.  A
+    predicted span matching any gold span is one tp, matching none is one
     fp; each gold span matched by no prediction is one fn.  One prediction
     covering several gold spans counts once, while marking all of them
     matched.

@@ -456,19 +456,19 @@ def gradient_check(
     config: NetworkConfig,
     seed: int = 0,
     tolerance: float = 1e-4,
-    sequence_length: int = 5,
 ) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Every parameter coordinate is perturbed by +/-eps and the loss
-    re-evaluated; the relative error is |analytic - numeric| over
-    max(|analytic|, |numeric|, 1e-5).  Draws whose relu pre-activations sit
-    within 1e-4 of a kink are redrawn (central differences are invalid
-    across the kink).  The analytic gradients come from ``backward_bptt``,
-    looked up at call time, so a test can wrap it to inject a fault and
-    confirm that the check fails in that tensor's block.  A non-finite
-    analytic or numeric entry counts as an infinite error.  The tolerance
-    must be positive and finite.
+    The loss is that of one random sequence of fixed length 5, every input
+    column active, with random gold classes.  Every parameter coordinate is
+    perturbed by +/-eps and the loss re-evaluated; the relative error is
+    |analytic - numeric| over max(|analytic|, |numeric|, 1e-5).  Draws
+    whose relu pre-activations sit within 1e-4 of a kink are redrawn
+    (central differences are invalid across the kink).  The analytic
+    gradients come from ``backward_bptt``, looked up at call time, so a test
+    can wrap it to inject a fault and confirm that the check fails in that
+    tensor's block.  A non-finite analytic or numeric entry counts as an
+    infinite error.  The tolerance must be positive and finite.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -477,9 +477,9 @@ def gradient_check(
         draw_seed = seed + 1000003 * attempt
         params = init_params(config, draw_seed)
         rng = np.random.default_rng(draw_seed + 1)
-        xs = rng.uniform(-1.0, 1.0, (sequence_length, config.input_dim))
+        xs = rng.uniform(-1.0, 1.0, (5, config.input_dim))
         inputs = sentence_input(xs)  # every column active
-        gold = rng.integers(0, config.n_classes, sequence_length)
+        gold = rng.integers(0, config.n_classes, len(xs))
         _, cache = forward(inputs, config, params)
         if _min_relu_margin(cache) > 1e-4:
             break

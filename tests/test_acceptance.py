@@ -18,7 +18,7 @@ from seqtag.corpus import (
     MentionSpan,
     Sentence,
     Token,
-    mentions_to_bio2,
+    document_labels,
     read_bio_column_file,
     sample_split,
 )
@@ -50,7 +50,7 @@ def test_gradient_correctness_all_variants():
     worst = {}
     for variant in ("FF", "LSTM", "BLSTM"):
         config = NetworkConfig(variant, input_dim=10, dense_size=10, lstm_cells=5)
-        result = gradient_check(config, seed=0, tolerance=1e-4, sequence_length=6)
+        result = gradient_check(config, seed=0, tolerance=1e-4)
         assert result.passed, result.summary()
         worst[variant] = result.max_rel_error
     elapsed = time.monotonic() - started
@@ -181,7 +181,7 @@ def test_bio2_round_trip_10000():
     rng = random.Random(99)
     for _ in range(10000):
         sentence, mentions = _random_aligned_case(rng)
-        labels = mentions_to_bio2(sentence, mentions)
+        labels = document_labels([sentence], mentions)[0]
         assert decode_spans(sentence, labels) == mentions
     report("BIO2 round trip", "10000 random aligned mention sets")
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import pathlib
@@ -6,6 +7,7 @@ import re
 
 import pytest
 
+import seqtag
 from seqtag.cli import build_parser, main
 from seqtag.corpus import read_bio_column_file, read_standoff, write_bio_column_file
 from seqtag.synth import SynthConfig, synthetic_corpus
@@ -729,11 +731,50 @@ def test_cli_options_are_the_declared_table():
     assert options == CLI_OPTIONS
 
 
+# Every name ``seqtag`` exports.  Adding or dropping one is a change to this list.
+PUBLIC_API = [
+    "Corpus", "Document", "EmbeddingTable", "MentionSpan", "NetworkConfig", "Sentence",
+    "SynthConfig", "TaggerModel", "Token", "TrainingConfig", "annotate", "build_encoder",
+    "count_document", "decode_spans", "evaluate", "extract_trigrams", "gradient_check",
+    "load_embeddings", "load_model", "macro_bio", "micro_scores", "predict", "predict_batch",
+    "read_bio_column_file", "read_standoff", "sample_split", "save_model", "split_sentences",
+    "surface_flags", "synthetic_corpus", "tokenize", "train",
+]
+
+
+def test_public_api_is_the_declared_table():
+    assert seqtag.__all__ == PUBLIC_API
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "seqtag"
+        for alias in node.names
+    ]
+    assert imported and set(imported) <= set(PUBLIC_API)
+
+
 def test_train_rejects_an_empty_token_field(tmp_path, capsys):
     corpus = tmp_path / "corpus.bio"
     corpus.write_text("\tO\n", encoding="utf-8")
     assert run(["train", "--corpus", str(corpus), "--model", str(tmp_path / "m.stm")]) == 1
     assert capsys.readouterr().err == f"ERROR invalid-input: {corpus}:1: empty token field\n"
+    assert not (tmp_path / "m.stm").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("a\tB\n  \tI\nb\tO\n", "2: empty token field"),
+    ("a\tB\n\u00a0\tI\nb\tO\n", "2: empty token field"),
+    # -DOCSTART- opens a document only as a whole TAB-separated first field
+    ("-DOCSTART- -X- -X- O\n\na\tB\n",
+     "1: expected 'token<TAB>label', got '-DOCSTART- -X- -X- O'"),
+], ids=["blank-token", "no-break-space-token", "space-separated-docstart"])
+def test_train_rejects_a_malformed_bio_line(tmp_path, capsys, content, message):
+    corpus = tmp_path / "corpus.bio"
+    corpus.write_text(content, encoding="utf-8")
+    assert run(["train", "--corpus", str(corpus), "--model", str(tmp_path / "m.stm")]) == 1
+    assert capsys.readouterr().err == f"ERROR invalid-input: {corpus}:{message}\n"
     assert not (tmp_path / "m.stm").exists()
 
 

@@ -15,7 +15,6 @@ from seqtag.corpus import (
     Token,
     document_from_rows,
     document_labels,
-    mentions_to_bio2,
     read_bio_column_file,
     read_standoff,
     sample_split,
@@ -259,7 +258,7 @@ def test_tokenize_splits_chunks_exactly_at_edge_punctuation(text):
 
 
 # ---------------------------------------------------------------------------
-# mentions_to_bio2
+# BIO2 projection of one sentence
 
 
 def fig_sentence_with_mentions():
@@ -270,34 +269,34 @@ def fig_sentence_with_mentions():
 
 def test_bio2_fig_example():
     sentence, mentions = fig_sentence_with_mentions()
-    assert mentions_to_bio2(sentence, mentions) == ["B", "O", "O", "B", "I", "O"]
+    assert document_labels([sentence], mentions)[0] == ["B", "O", "O", "B", "I", "O"]
 
 
 def test_bio2_no_mentions_all_outside():
     sentence, _ = fig_sentence_with_mentions()
-    assert mentions_to_bio2(sentence, []) == ["O"] * 6
+    assert document_labels([sentence], [])[0] == ["O"] * 6
 
 
 def test_bio2_adjacent_mentions_each_get_begin():
     sentence = make_sentence(["aa", "bb"])
-    labels = mentions_to_bio2(sentence, [MentionSpan(0, 2), MentionSpan(3, 5)])
+    labels = document_labels([sentence], [MentionSpan(0, 2), MentionSpan(3, 5)])[0]
     assert labels == ["B", "B"]
 
 
 def test_bio2_partial_overlap_claims_whole_token():
     sentence = make_sentence(["abcdef"])
-    assert mentions_to_bio2(sentence, [MentionSpan(2, 4)]) == ["B"]
+    assert document_labels([sentence], [MentionSpan(2, 4)])[0] == ["B"]
 
 
 def test_bio2_rejects_overlapping_mentions():
     sentence = make_sentence(["aa", "bb"])
     with pytest.raises(ValueError, match="overlap"):
-        mentions_to_bio2(sentence, [MentionSpan(0, 4), MentionSpan(3, 5)])
+        document_labels([sentence], [MentionSpan(0, 4), MentionSpan(3, 5)])[0]
 
 
 def test_bio2_never_starts_with_inside():
     sentence = make_sentence(["aa", "bb", "cc"])
-    labels = mentions_to_bio2(sentence, [MentionSpan(0, 5)])
+    labels = document_labels([sentence], [MentionSpan(0, 5)])[0]
     assert labels[0] == "B"
     assert labels == ["B", "I", "O"]
 
@@ -531,7 +530,7 @@ def test_document_labels_project_all_mentions(word_lists, spans):
 def test_document_labels_reject_overlap_anywhere_in_the_document():
     first, second = make_sentence(["Alpha", "works."]), make_sentence(["Beta"], start=15)
     overlapping = [MentionSpan(0, 13), MentionSpan(12, 18)]  # they share only whitespace
-    assert [mentions_to_bio2(s, [m]) for s, m in zip((first, second), overlapping)] == [
+    assert [document_labels([s], [m])[0] for s, m in zip((first, second), overlapping)] == [
         ["B", "I"], ["B"]]
     with pytest.raises(ValueError, match=r"^mentions overlap: \[0, 13\) and \[12, 18\)$"):
         document_labels([first, second], overlapping)
@@ -634,5 +633,5 @@ def aligned_mention_sets(draw):
 @settings(max_examples=300)
 def test_bio2_round_trip(case):
     sentence, mentions = case
-    labels = mentions_to_bio2(sentence, mentions)
+    labels = document_labels([sentence], mentions)[0]
     assert decode_spans(sentence, labels) == mentions
