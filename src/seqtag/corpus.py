@@ -280,6 +280,8 @@ def read_bio_column_file(path) -> Corpus:
             )
         elif not fields[0] or fields[0].isspace():
             raise ValueError(f"{path}:{lineno}: empty token field")
+        elif fields[0] != fields[0].strip():
+            raise ValueError(f"{path}:{lineno}: token field {fields[0]!r} has outer whitespace")
         elif fields[1] not in LABELS:
             raise ValueError(f"{path}:{lineno}: unknown label {fields[1]!r}")
         else:

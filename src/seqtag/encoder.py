@@ -1,14 +1,14 @@
 """Token encoders: one lexical multi-hot code and pretrained embeddings.
 
 Every encoder turns a token's text into a code, a pure function of the text
-that holds its surface flags, and writes a code into one dense float row, the
-four flag slots after the lexical part.  ``encode_sentence`` fills a sentence
-matrix from a dict of codes that ``train`` and ``predict_batch`` share across
-one call, so each distinct text is encoded once per call.  The lexical
-encoder's vocabulary is the sorted set of the keys it is built from, key i
-owning slot i; a code holds the slots of the token's known keys.  TRI's keys
-are the token's letter trigrams (word hashing); DICT's one key is the
-lowercased token, so DICT is the one-key case of TRI.  The EMB encoder is its
+that holds its surface flags.  ``fill_row`` writes a code into a dense row, the
+four flag slots after the lexical part; ``nonzeros`` lists the distinct slots
+it sets and their values.  ``encode_sentence`` fills a sentence matrix from a
+dict of codes shared across a ``train`` call, so each distinct text is encoded
+once.  The lexical encoder's vocabulary is the sorted set of the keys it is
+built from, key i owning slot i; a code holds the slots of the token's known
+keys.  TRI's keys are the token's letter trigrams (word hashing); DICT's one
+key is the lowercased token, so DICT is the one-key case of TRI.  EMB is its
 embedding table, looked up by the token's exact text.  Encoders are immutable.
 """
 from __future__ import annotations
@@ -107,6 +107,11 @@ class EmbeddingTable:
             row[:-N_FLAGS] = self.vectors[i]
         row[-N_FLAGS:] = flags
 
+    def nonzeros(self, code: tuple[int | None, SurfaceFlags]) -> tuple[list, list]:
+        vector = [] if code[0] is None else self.vectors[code[0]].tolist()
+        lit = list(compress(range(self.dim - N_FLAGS, self.dim), code[1]))  # set flags' slots
+        return [*range(len(vector)), *lit], vector + [1.0] * len(lit)
+
 
 def load_embeddings(path) -> EmbeddingTable:
     """Load a text embedding file: one "word v1 v2 ... vd" line per word."""
@@ -175,8 +180,12 @@ class LexicalEncoder:
         for i in compress(range(-N_FLAGS, 0), flags):  # the set flags' slots
             row[i] = 1.0
 
+    def nonzeros(self, code: tuple[tuple[int, ...], SurfaceFlags]) -> tuple[list, list]:
+        lit = sorted({*code[0], *compress(range(len(self.keys), self.dim), code[1])})
+        return lit, [1.0] * len(lit)
 
-# What a model encodes its tokens with: both have ``code(text)`` and ``fill_row(code, row)``.
+
+# What a model encodes its tokens with: both have ``code``, ``fill_row`` and ``nonzeros``.
 TokenEncoder = LexicalEncoder | EmbeddingTable
 
 

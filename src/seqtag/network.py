@@ -5,14 +5,14 @@ buffer, keyed by ``"<layer>.<tensor>"``.  Initialized, loaded and gradient
 tensors all use this one type.  Everything runs in double precision so
 analytic gradients can be verified against central finite differences.
 
-Lexical inputs are sparse: a sentence lights a handful of the input layer's
-columns, and the network reads it as a ``SentenceInput`` record of those
-columns and its values in them.  The input weight is stored one contiguous
-row per input column, so the forward pass gathers the rows of the record's
-columns and multiplies only them; backpropagation writes the input weight's
-gradient only in those rows and records them on the gradient buffer, and SGD
-updates those rows plus the rest of the buffer.  So a sentence costs
-O(active columns x dense_size) in the input layer, not O(input_dim x dense_size).
+Lexical inputs are sparse.  The input weight is stored one contiguous row per
+input column.  ``forward`` reads a sentence as a ``SentenceInput`` record of the
+columns it lights and its values there, and multiplies only their rows;
+backpropagation writes the gradient in those rows alone and records them on the
+gradient buffer, and SGD updates them plus the rest of the buffer.  A sentence
+costs O(active columns x dense_size) in the input layer, not O(input_dim x
+dense_size).  Inference needs no record: ``text_input_layer`` sums each distinct
+token text's rows once, and ``forward_batch`` runs the layers above it.
 
 The LSTM cell uses the nonstandard state update
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +38,7 @@ VARIANTS = ("FF", "LSTM", "BLSTM")
 _GATES = ("c", "i", "f", "o")  # candidate, input, forget, output
 
 _LOG_EPS = 1e-12  # clamp for log-loss of near-zero probabilities
+TEXT_BLOCK = 64  # texts per block of text_input_layer's segment sums
 
 
 @dataclass(frozen=True)
@@ -320,11 +322,24 @@ def forward(
     return _upper_forward(h, config, params, {first: input_cache})
 
 
-def forward_batch(sentences: list, config: NetworkConfig, params: Params) -> np.ndarray:
-    """Class distributions (T, B, n_classes) of the records of B sentences of one
-    length T.  The input layer reads each record in turn; its outputs are stacked."""
+def text_input_layer(entries: list, config: NetworkConfig, params: Params) -> np.ndarray:
+    """The input layer's (U, dense_size) output on U texts, each given by its code's
+    ``nonzeros``: relu(bias + sum of values * rows[slots]), summed TEXT_BLOCK texts at a time."""
     first = "dense1" if config.variant == "FF" else "dense"
-    h = np.stack([_input_forward(params, first, inputs)[0] for inputs in sentences], axis=1)
+    rows, pre = params[f"{first}.w"].T, np.zeros((len(entries), config.dense_size))
+    for lo in range(0, len(entries), TEXT_BLOCK):
+        slots, values = zip(*entries[lo : lo + TEXT_BLOCK])
+        sizes = np.array([*map(len, slots)])
+        products = rows[np.fromiter(chain(*slots), np.intp)]
+        products *= np.fromiter(chain(*values), np.float64)[:, None]
+        lit = sizes > 0  # reduceat gives an empty segment the next row, not 0
+        pre[lo : lo + TEXT_BLOCK][lit] = np.add.reduceat(products, (np.cumsum(sizes) - sizes)[lit])
+        del products  # freed before the next block's are made
+    return np.maximum(np.add(pre, params[f"{first}.b"], out=pre), 0.0, out=pre)
+
+
+def forward_batch(h: np.ndarray, config: NetworkConfig, params: Params) -> np.ndarray:
+    """Class distributions (T, B, n_classes) from the input layer's (T, B, dense_size) output."""
     return _upper_forward(h, config, params, {})[0]
 
 

@@ -34,6 +34,7 @@ from .network import (
     param_spec,
     sentence_input,
     sgd_step,
+    text_input_layer,
     zero_gradients,
 )
 
@@ -154,20 +155,23 @@ def predict(model: TaggerModel, sentence: Sentence) -> PredictionResult:
 
 
 def predict_batch(model: TaggerModel, sentences: list) -> list[PredictionResult]:
-    """Pure per-token distributions and argmax labels of each sentence, in input
-    order; the sentences of one token count run through the network as one
-    batch.  Argmax ties resolve to the first class in B < I < O order."""
+    """Pure per-token distributions and argmax labels, in input order; the sentences
+    of one token count run as one batch.  Argmax ties go to the first of B < I < O."""
+    config, params, encoder = model.config, model.params, model.encoder
     groups: dict[int, list[int]] = {}
     for n, sentence in enumerate(sentences):
         groups.setdefault(len(sentence.tokens), []).append(n)
+    if len(sentences) == 1:  # the path benchmark/tests/test_tracer.py pins (ROADMAP item 1)
+        record = sentence_input(encode_sentence(encoder, sentences[0], {}))
+        batches = [forward(record, config, params)[0][:, None]]
+    else:  # the input layer runs once per distinct text; h[row[text]] is its output
+        texts = dict.fromkeys(tok.text for sentence in sentences for tok in sentence.tokens)
+        h = text_input_layer([encoder.nonzeros(encoder.code(t)) for t in texts], config, params)
+        row = {text: u for u, text in enumerate(texts)}
+        ids = ([[row[t.text] for t in sentences[n].tokens] for n in ns] for ns in groups.values())
+        batches = (forward_batch(h[np.array(i, dtype=np.intp).T], config, params) for i in ids)
     results: list = [None] * len(sentences)
-    encoder, codes = model.encoder, {}
-    for members in groups.values():
-        inputs = [sentence_input(encode_sentence(encoder, sentences[n], codes)) for n in members]
-        if len(members) == 1:  # a sentence alone runs unbatched, as in training
-            ys = forward(inputs[0], model.config, model.params)[0][:, None]
-        else:
-            ys = forward_batch(inputs, model.config, model.params)
+    for members, ys in zip(groups.values(), batches):
         best = np.argmax(ys, axis=-1)
         for b, n in enumerate(members):
             results[n] = PredictionResult(tuple(LABELS[i] for i in best[:, b]), ys[:, b])

@@ -769,7 +769,11 @@ def test_train_rejects_an_empty_token_field(tmp_path, capsys):
     # -DOCSTART- opens a document only as a whole TAB-separated first field
     ("-DOCSTART- -X- -X- O\n\na\tB\n",
      "1: expected 'token<TAB>label', got '-DOCSTART- -X- -X- O'"),
-], ids=["blank-token", "no-break-space-token", "space-separated-docstart"])
+    # no tokenizer output begins or ends in whitespace, so no gold span may
+    (" a\tB\nb\tI\n", "1: token field ' a' has outer whitespace"),
+    ("a\tB\nb \tI\n", "2: token field 'b ' has outer whitespace"),
+], ids=["blank-token", "no-break-space-token", "space-separated-docstart",
+        "leading-blank-token", "trailing-blank-token"])
 def test_train_rejects_a_malformed_bio_line(tmp_path, capsys, content, message):
     corpus = tmp_path / "corpus.bio"
     corpus.write_text(content, encoding="utf-8")

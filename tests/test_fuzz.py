@@ -269,19 +269,28 @@ def test_fuzz_command_line_parses_or_is_one_usage_line(
 
 
 @pytest.fixture(scope="module")
-def variant_models():
-    """A small trained TRI model per network variant."""
+def grouped_models():
+    """A small trained model per encoder and network variant.  The training
+    sentences end with ``aaaa banana``, so the trigrams those words repeat
+    (``aaa``, ``ana``) are in the TRI vocabulary; the EMB table has vectors
+    for some words of the pool and none for the others."""
     sentences = synthetic_corpus(SynthConfig(n_sentences=6, seed=2)).sentences
-    return {
-        variant: train(
-            sentences, "TRI", variant, TrainingConfig(epochs=2, seed=1),
-            dense_size=8, lstm_cells=3,
+    sentences += (Sentence((Token("aaaa", 0, 4), Token("banana", 5, 11)), ("B", "O")),)
+    words = ["Aspirin", "PATIENT", "aaaa", "banana", "helps", "3"]
+    table = EmbeddingTable(words, np.random.default_rng(4).normal(size=(len(words), 5)))
+    models = {
+        (encoder, variant): train(
+            sentences, encoder, variant, TrainingConfig(epochs=2, seed=1),
+            embeddings=table if encoder == "EMB" else None, dense_size=8, lstm_cells=3,
         )
-        for variant in VARIANTS
+        for encoder in ("TRI", "DICT", "EMB") for variant in VARIANTS
     }
+    assert {"aaa", "ana"} <= set(models["TRI", "FF"].encoder.keys)
+    return models
 
 
-_words = st.sampled_from(["Aspirin", "helps", "the", "PATIENT", "ibuprofen", "mAb", "3", "-"])
+_words = st.sampled_from(
+    ["Aspirin", "helps", "the", "PATIENT", "ibuprofen", "mAb", "3", "-", "aaaa", "banana"])
 # Lengths come from a small pool, so that most lists repeat a length.
 _sentence_lists = st.lists(st.integers(0, 12), min_size=1, max_size=3).flatmap(
     lambda pool: st.lists(
@@ -292,15 +301,20 @@ _sentence_lists = st.lists(st.integers(0, 12), min_size=1, max_size=3).flatmap(
 
 
 @FUZZ
-@given(variant=st.sampled_from(VARIANTS), word_lists=_sentence_lists)
-@example(variant="BLSTM", word_lists=[])
-@example(variant="BLSTM", word_lists=[[], [], []])
-@example(variant="LSTM", word_lists=[["Aspirin"]])
-@example(variant="BLSTM", word_lists=[["mAb", "helps"], ["the", "-", "3"], ["3", "mAb"]])
+@given(encoder=st.sampled_from(["TRI", "DICT", "EMB"]), variant=st.sampled_from(VARIANTS),
+       word_lists=_sentence_lists)
+@example(encoder="TRI", variant="BLSTM", word_lists=[])
+@example(encoder="TRI", variant="BLSTM", word_lists=[[], [], []])
+@example(encoder="TRI", variant="LSTM", word_lists=[["Aspirin"]])
+@example(encoder="TRI", variant="BLSTM",
+         word_lists=[["mAb", "helps"], ["the", "-", "3"], ["3", "mAb"]])
+@example(encoder="TRI", variant="FF", word_lists=[["aaaa", "banana"], ["banana", "-", "aaaa"]])
+@example(encoder="DICT", variant="BLSTM", word_lists=[["aaaa", "-"], ["mAb"], ["the"]])
+@example(encoder="EMB", variant="LSTM", word_lists=[["banana", "the"], ["-", "Aspirin"]])
 def test_fuzz_grouped_prediction_equals_one_sentence_at_a_time(
-    variant_models, variant, word_lists
+    grouped_models, encoder, variant, word_lists
 ):
-    model = variant_models[variant]
+    model = grouped_models[encoder, variant]
     sentences = [
         Sentence(tuple(Token(w, 10 * i, 10 * i + len(w)) for i, w in enumerate(words)))
         for words in word_lists

@@ -4,10 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from seqtag.corpus import Sentence, Token
+from seqtag.encoder import EmbeddingTable, build_encoder, encode_sentence
 from seqtag.network import (
+    TEXT_BLOCK,
     NetworkConfig,
     Params,
     SentenceInput,
+    _input_forward,
     backward_bptt,
     forward,
     gradient_check,
@@ -19,6 +23,7 @@ from seqtag.network import (
     sentence_input,
     sgd_step,
     softmax_rows,
+    text_input_layer,
     zero_gradients,
 )
 
@@ -506,6 +511,74 @@ def test_forward_reads_only_active_input_columns(variant, kind):
     poisoned, _ = forward(sentence_input(xs), config, params)
     assert np.isfinite(poisoned).all()
     assert poisoned.tobytes() == clean.tobytes()
+
+
+def sentence_of(texts):
+    return Sentence(tuple(Token(t, 20 * i, 20 * i + len(t)) for i, t in enumerate(texts)))
+
+
+def text_encoders():
+    """A TRI, a DICT and an EMB encoder.  None of them knows "-", which has no
+    letter and so sets no flag: it has no entry at all."""
+    words = ["Aspirin", "banana", "aaaa", "the", "PATIENT", "mAb"]
+    vectors = np.random.default_rng(6).normal(size=(4, 3))
+    return {"TRI": build_encoder("TRI", [sentence_of(words)]),
+            "DICT": build_encoder("DICT", [sentence_of(words)]),
+            "EMB": EmbeddingTable(words[:4], vectors)}
+
+
+TEXT_CASES = {
+    "no texts": [],
+    "no entry": ["-", "Aspirin", "-"],
+    "repeated trigram": ["banana", "aaaa", "the"],
+    "over one block": [w + "s" * (i % 3) for i, w in enumerate(
+        ["Aspirin", "banana", "-", "mAb", "Unseen"] * (TEXT_BLOCK // 5 + 2))],
+}
+assert len(TEXT_CASES["over one block"]) > TEXT_BLOCK
+
+
+@pytest.mark.parametrize("variant", ["FF", "BLSTM"])
+@pytest.mark.parametrize("method", ["TRI", "DICT", "EMB"])
+@pytest.mark.parametrize("case", list(TEXT_CASES))
+def test_text_input_layer_matches_the_input_layer_on_a_record(variant, method, case):
+    encoder, texts = text_encoders()[method], TEXT_CASES[case]
+    config = NetworkConfig(variant, input_dim=encoder.dim, dense_size=6, lstm_cells=3)
+    params = init_params(config, 3)
+    layer = input_layer(config)
+    params[f"{layer}.b"][:] = np.random.default_rng(8).uniform(-0.5, 0.5, 6)
+    record = sentence_input(encode_sentence(encoder, sentence_of(texts), {}))
+    expected = _input_forward(params, layer, record)[0]
+    got = text_input_layer([encoder.nonzeros(encoder.code(t)) for t in texts], config, params)
+    assert got.shape == expected.shape == (len(texts), 6)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    if "-" in texts:
+        assert encoder.nonzeros(encoder.code("-")) == ([], [])
+        assert np.array_equal(got[texts.index("-")], np.maximum(params[f"{layer}.b"], 0.0))
+    if case == "repeated trigram" and method == "TRI":
+        slots = encoder.code("banana")[0]  # "ana" twice, one slot set to 1
+        assert len(set(slots)) < len(slots)
+
+
+def test_text_input_layer_transient_memory_does_not_grow_with_the_text_count():
+    rng = np.random.default_rng(2)
+    words = ["".join(rng.choice(list("abcdefghij"), 6)) for _ in range(TEXT_BLOCK)]
+    encoder = build_encoder("TRI", [sentence_of(words)])
+    config = NetworkConfig("BLSTM", input_dim=encoder.dim, dense_size=150, lstm_cells=3)
+    params = init_params(config, 0)
+    block = [encoder.nonzeros(encoder.code(w)) for w in words]
+
+    def peak_beyond_result(entries):
+        tracemalloc.start()
+        try:
+            out = text_input_layer(entries, config, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    one, eight = peak_beyond_result(block), peak_beyond_result(block * 8)
+    assert one > 0
+    assert abs(eight - one) <= 0.1 * one, (one, eight)
 
 
 @pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])

@@ -13,12 +13,14 @@ from seqtag.cli import main as cli_main
 from seqtag.corpus import LABELS, MentionSpan, Sentence, Token
 from seqtag.encoder import EmbeddingTable
 from seqtag.synth import SynthConfig, synthetic_corpus
+from seqtag import tagger
 from seqtag.tagger import (
     TrainingConfig,
     annotate,
     decode_spans,
     load_model,
     predict,
+    predict_batch,
     save_model,
     train,
 )
@@ -163,6 +165,20 @@ def test_predict_is_pure(tiny_sentences):
     a, b = predict(model, s), predict(model, s)
     assert a.labels == b.labels
     assert np.array_equal(a.distributions, b.distributions)
+
+
+def test_grouped_prediction_builds_no_dense_matrix_and_no_record(monkeypatch, tiny_sentences):
+    model = quick_train(tiny_sentences)
+    alone = [predict(model, s) for s in tiny_sentences]
+
+    def refuse(*args):
+        raise AssertionError("a call of two or more sentences built a (T, V) matrix or a record")
+
+    monkeypatch.setattr(tagger, "encode_sentence", refuse)
+    monkeypatch.setattr(tagger, "sentence_input", refuse)
+    for sentences in (tiny_sentences, tiny_sentences[:2]):
+        grouped = predict_batch(model, sentences)
+        assert [r.labels for r in grouped] == [r.labels for r in alone[:len(sentences)]]
 
 
 # ---------------------------------------------------------------------------
