@@ -1,20 +1,22 @@
 """Token encoders: one lexical multi-hot code and pretrained embeddings.
 
 Every encoder turns a token's text into a code, a pure function of the text
-that holds its surface flags.  ``fill_row`` writes a code into a dense row, the
-four flag slots after the lexical part; ``nonzeros`` lists the distinct slots
-it sets and their values.  ``encode_sentence`` fills a sentence matrix from a
-dict of codes shared across a ``train`` call, so each distinct text is encoded
-once.  The lexical encoder's vocabulary is the sorted set of the keys it is
-built from, key i owning slot i; a code holds the slots of the token's known
-keys.  TRI's keys are the token's letter trigrams (word hashing); DICT's one
-key is the lowercased token, so DICT is the one-key case of TRI.  EMB is its
-embedding table, looked up by the token's exact text.  Encoders are immutable.
+that holds its surface flags.  ``nonzeros`` lists the distinct slots of a
+token's row that a code sets, and their values, the four flag slots
+(``flag_slots``) after the lexical part; it is the one place the row layout
+lives.  ``encode_sentence`` fills a sentence matrix from it and from a dict of
+codes shared across a ``train`` call, so each distinct text is encoded once.
+The lexical encoder's vocabulary is the sorted set of the keys it is built
+from, key i owning slot i; a code holds the sorted distinct slots of the
+token's known keys, so a repeated trigram sets its slot once.  TRI's keys are
+the token's letter trigrams (word hashing); DICT's one key is the lowercased
+token, so DICT is the one-key case of TRI.  EMB is its embedding table, looked
+up by the token's exact text.  Encoders are immutable.
 """
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -97,19 +99,14 @@ class EmbeddingTable:
             word = next(w for i, w in enumerate(self.words) if self.index[w] != i)
             raise ValueError(f"word {word!r} appears more than once")
         self.dim = vectors.shape[1] + N_FLAGS
+        self.flag_slots = range(vectors.shape[1], self.dim)
 
     def code(self, token_text: str) -> tuple[int | None, SurfaceFlags]:
         return self.index.get(token_text), surface_flags(token_text)
 
-    def fill_row(self, code: tuple[int | None, SurfaceFlags], row: np.ndarray) -> None:
-        i, flags = code
-        if i is not None:
-            row[:-N_FLAGS] = self.vectors[i]
-        row[-N_FLAGS:] = flags
-
     def nonzeros(self, code: tuple[int | None, SurfaceFlags]) -> tuple[list, list]:
         vector = [] if code[0] is None else self.vectors[code[0]].tolist()
-        lit = list(compress(range(self.dim - N_FLAGS, self.dim), code[1]))  # set flags' slots
+        lit = [*compress(self.flag_slots, code[1])]
         return [*range(len(vector)), *lit], vector + [1.0] * len(lit)
 
 
@@ -166,26 +163,20 @@ class LexicalEncoder:
             raise ValueError("empty vocabulary")
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.dim = len(self.keys) + N_FLAGS
+        self.flag_slots = range(len(self.keys), self.dim)
 
     def code(self, token_text: str) -> tuple[tuple[int, ...], SurfaceFlags]:
-        """The slots of the token's known keys, as a tuple of ints that the
-        garbage collector stops tracking, and the token's flags."""
-        keys = _lexical_keys(self.method, token_text)
-        return tuple([self.index[k] for k in keys if k in self.index]), surface_flags(token_text)
-
-    def fill_row(self, code: tuple[tuple[int, ...], SurfaceFlags], row: np.ndarray) -> None:
-        slots, flags = code
-        for i in slots:
-            row[i] = 1.0
-        for i in compress(range(-N_FLAGS, 0), flags):  # the set flags' slots
-            row[i] = 1.0
+        """The sorted distinct slots of the token's known keys, as a tuple of
+        ints that the garbage collector stops tracking, and the token's flags."""
+        keys, index = _lexical_keys(self.method, token_text), self.index
+        return tuple(sorted({index[k] for k in keys if k in index})), surface_flags(token_text)
 
     def nonzeros(self, code: tuple[tuple[int, ...], SurfaceFlags]) -> tuple[list, list]:
-        lit = sorted({*code[0], *compress(range(len(self.keys), self.dim), code[1])})
+        lit = [*code[0], *compress(self.flag_slots, code[1])]
         return lit, [1.0] * len(lit)
 
 
-# What a model encodes its tokens with: both have ``code``, ``fill_row`` and ``nonzeros``.
+# What a model encodes its tokens with: both have ``code`` and ``nonzeros``.
 TokenEncoder = LexicalEncoder | EmbeddingTable
 
 
@@ -213,9 +204,14 @@ def build_encoder(
 
 def encode_sentence(encoder: TokenEncoder, sentence: Sentence, codes: dict) -> np.ndarray:
     """Encode a sentence as a (n_tokens, encoder.dim) matrix, adding new texts to ``codes``."""
-    xs = np.zeros((len(sentence.tokens), encoder.dim))
-    for tok, row in zip(sentence.tokens, xs):
+    entries = []
+    for tok in sentence.tokens:
         if (code := codes.get(tok.text)) is None:
             code = codes[tok.text] = encoder.code(tok.text)
-        encoder.fill_row(code, row)
+        entries.append(encoder.nonzeros(code))
+    xs = np.zeros((len(entries), encoder.dim))
+    if entries:  # every token's non-zeros, written in one step
+        slots, values = zip(*entries)
+        rows = np.repeat(np.arange(len(entries)), [*map(len, slots)])
+        xs[rows, np.fromiter(chain(*slots), np.intp)] = np.fromiter(chain(*values), np.float64)
     return xs

@@ -33,7 +33,8 @@ def sentence_of(*words):
 
 def encode_token(encoder, text):
     row = np.zeros(encoder.dim)
-    encoder.fill_row(encoder.code(text), row)
+    slots, values = encoder.nonzeros(encoder.code(text))
+    row[slots] = values
     return row
 
 
