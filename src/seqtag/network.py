@@ -11,16 +11,16 @@ columns it lights and its values there, and multiplies only their rows;
 backpropagation writes the gradient in those rows alone and records them on the
 gradient buffer, and SGD updates them plus the rest of the buffer.  A sentence
 costs O(active columns x dense_size) in the input layer, not O(input_dim x
-dense_size).  Inference needs no record: ``text_input_layer`` sums each distinct
-token text's rows once, and ``forward_batch`` runs the layers above it.
+dense_size).  Batched inference needs no record: ``text_input_layer`` sums each
+distinct token text's rows once, and ``forward_batch`` runs the layers above it.
 
 The LSTM cell uses the nonstandard state update
 
     s_t = tanh(cand_t * in_gate_t + s_{t-1} * forget_t),  h_t = s_t * out_gate_t
 
 i.e. the nonlinearity wraps the state accumulation and the hidden output has
-no second squashing; this exact form is reproduced deliberately.  Training
-runs one sentence at a time; inference runs B of one length as (T, B, ...).
+no second squashing; this exact form is reproduced deliberately.  A sentence
+runs as (T, ...) and B of one length as (T, B, ...), on the same lines.
 At 20 cells a step costs numpy calls, not arithmetic, so both recurrence
 loops walk step views made once per call and update them in place.
 """
@@ -58,6 +58,8 @@ class NetworkConfig:
         for name in ("input_dim", "dense_size", "lstm_cells"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -339,7 +341,7 @@ def text_input_layer(entries: list, config: NetworkConfig, params: Params) -> np
 
 
 def forward_batch(h: np.ndarray, config: NetworkConfig, params: Params) -> np.ndarray:
-    """Class distributions (T, B, n_classes) from the input layer's (T, B, dense_size) output."""
+    """Distributions (T, [B,] n_classes) from the input layer's (T, [B,] dense_size) output."""
     return _upper_forward(h, config, params, {})[0]
 
 

@@ -150,28 +150,28 @@ def train(
 
 
 def predict(model: TaggerModel, sentence: Sentence) -> PredictionResult:
-    """Predict one sentence: the one-sentence case of ``predict_batch``."""
-    return predict_batch(model, [sentence])[0]
+    """Training's forward pass on one sentence's record: the reference for ``predict_batch``."""
+    record = sentence_input(encode_sentence(model.encoder, sentence, {}))
+    ys = forward(record, model.config, model.params)[0]
+    return PredictionResult(tuple(LABELS[i] for i in np.argmax(ys, axis=-1)), ys)
 
 
 def predict_batch(model: TaggerModel, sentences: list) -> list[PredictionResult]:
-    """Pure per-token distributions and argmax labels, in input order; the sentences
-    of one token count run as one batch.  Argmax ties go to the first of B < I < O."""
+    """Pure per-token distributions and argmax labels, in input order; argmax ties go to
+    the first of B < I < O.  The input layer runs once per distinct token text, then the
+    sentences of one token count run as one (T, B, ...) batch, or a lone one as (T, ...)."""
     config, params, encoder = model.config, model.params, model.encoder
     groups: dict[int, list[int]] = {}
     for n, sentence in enumerate(sentences):
         groups.setdefault(len(sentence.tokens), []).append(n)
-    if len(sentences) == 1:  # the path benchmark/tests/test_tracer.py pins (ROADMAP item 1)
-        record = sentence_input(encode_sentence(encoder, sentences[0], {}))
-        batches = [forward(record, config, params)[0][:, None]]
-    else:  # the input layer runs once per distinct text; h[row[text]] is its output
-        texts = dict.fromkeys(tok.text for sentence in sentences for tok in sentence.tokens)
-        h = text_input_layer([encoder.nonzeros(encoder.code(t)) for t in texts], config, params)
-        row = {text: u for u, text in enumerate(texts)}
-        ids = ([[row[t.text] for t in sentences[n].tokens] for n in ns] for ns in groups.values())
-        batches = (forward_batch(h[np.array(i, dtype=np.intp).T], config, params) for i in ids)
+    texts = dict.fromkeys(tok.text for sentence in sentences for tok in sentence.tokens)
+    h = text_input_layer([encoder.nonzeros(encoder.code(t)) for t in texts], config, params)
+    row = {text: u for u, text in enumerate(texts)}  # h[row[text]] is the text's output
     results: list = [None] * len(sentences)
-    for members, ys in zip(groups.values(), batches):
+    for members in groups.values():
+        ids = np.array([[row[t.text] for t in sentences[n].tokens] for n in members], np.intp).T
+        ys = forward_batch(h[ids[:, 0] if len(members) == 1 else ids], config, params)
+        ys = ys.reshape(*ids.shape, config.n_classes)
         best = np.argmax(ys, axis=-1)
         for b, n in enumerate(members):
             results[n] = PredictionResult(tuple(LABELS[i] for i in best[:, b]), ys[:, b])

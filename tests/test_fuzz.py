@@ -6,7 +6,7 @@ re-checksummed model header must either load or raise ValueError, which the
 CLI reports as ``ERROR invalid-input``; any other exception fails the test.
 Every generated command line must parse or end in one ``ERROR usage`` line.
 Every generated sentence list must predict the same in groups as one
-sentence at a time.
+sentence at a time, through ``predict``'s record path.
 """
 import hashlib
 import json
@@ -311,6 +311,11 @@ _sentence_lists = st.lists(st.integers(0, 12), min_size=1, max_size=3).flatmap(
 @example(encoder="TRI", variant="FF", word_lists=[["aaaa", "banana"], ["banana", "-", "aaaa"]])
 @example(encoder="DICT", variant="BLSTM", word_lists=[["aaaa", "-"], ["mAb"], ["the"]])
 @example(encoder="EMB", variant="LSTM", word_lists=[["banana", "the"], ["-", "Aspirin"]])
+# One sentence: predict_batch's per-text path against predict's record path.
+@example(encoder="TRI", variant="BLSTM", word_lists=[[]])
+@example(encoder="TRI", variant="BLSTM", word_lists=[["aaaa", "banana", "mAb", "aaaa", "-"]])
+@example(encoder="DICT", variant="FF", word_lists=[["the", "PATIENT", "ibuprofen", "the", "3"]])
+@example(encoder="EMB", variant="BLSTM", word_lists=[["Aspirin", "-", "banana", "Aspirin"]])
 def test_fuzz_grouped_prediction_equals_one_sentence_at_a_time(
     grouped_models, encoder, variant, word_lists
 ):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -478,6 +479,14 @@ def test_forward_rejects_a_record_of_another_width(small_config):
     params = init_params(small_config, 0)
     with pytest.raises(ValueError, match="inputs of width 7 for input_dim 6"):
         forward(sentence_input(np.ones((3, 7))), small_config, params)
+
+
+@pytest.mark.parametrize("rate", [0, -1, math.nan, math.inf])
+def test_network_config_rejects_a_learning_rate_that_is_not_positive_and_finite(rate):
+    message = f"learning_rate must be positive and finite, got {rate}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NetworkConfig("BLSTM", input_dim=4, learning_rate=rate)
+    assert NetworkConfig("BLSTM", input_dim=4, learning_rate=1e-9).learning_rate == 1e-9
 
 
 @pytest.mark.parametrize("variant", ["FF", "LSTM", "BLSTM"])

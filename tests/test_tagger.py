@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pathlib
 import re
 import tracemalloc
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtag.cli import main as cli_main
-from seqtag.corpus import LABELS, MentionSpan, Sentence, Token
-from seqtag.encoder import EmbeddingTable
+from seqtag.corpus import LABELS, MentionSpan, Sentence, Token, split_sentences, tokenize
+from seqtag.encoder import N_FLAGS, EmbeddingTable, LexicalEncoder, extract_trigrams
+from seqtag.network import NetworkConfig, init_params
 from seqtag.synth import SynthConfig, synthetic_corpus
 from seqtag import tagger
 from seqtag.tagger import (
+    TaggerModel,
     TrainingConfig,
     annotate,
     decode_spans,
@@ -101,6 +104,15 @@ def test_train_rejects_unlabeled_sentence(tiny_sentences):
         quick_train(bad)
 
 
+def test_train_rejects_a_non_finite_learning_rate(monkeypatch, tiny_sentences):
+    def refuse(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(tagger, "forward", refuse)
+    with pytest.raises(ValueError, match="^learning_rate must be positive and finite, got inf$"):
+        train(tiny_sentences[:1], "TRI", "BLSTM", quick_config(epochs=1), learning_rate=math.inf)
+
+
 def test_train_rejects_empty_input():
     with pytest.raises(ValueError, match="training sentences"):
         quick_train([])
@@ -168,17 +180,48 @@ def test_predict_is_pure(tiny_sentences):
 
 
 def test_grouped_prediction_builds_no_dense_matrix_and_no_record(monkeypatch, tiny_sentences):
+    # predict, training's forward on a record, is the reference; predict_batch
+    # and annotate of any size run the per-text input layer instead.
     model = quick_train(tiny_sentences)
     alone = [predict(model, s) for s in tiny_sentences]
+    document = "Patients received golden syrup and aspirin twice"
+    assert split_sentences(document) == [(0, len(document))]
+    sentence = Sentence(tuple(tokenize(document)))
+    expected = decode_spans(sentence, predict(model, sentence).labels, "d1")
 
     def refuse(*args):
-        raise AssertionError("a call of two or more sentences built a (T, V) matrix or a record")
+        raise AssertionError("predict_batch built a (T, V) matrix or a record")
 
     monkeypatch.setattr(tagger, "encode_sentence", refuse)
     monkeypatch.setattr(tagger, "sentence_input", refuse)
-    for sentences in (tiny_sentences, tiny_sentences[:2]):
+    for sentences in (tiny_sentences, tiny_sentences[:2], tiny_sentences[:1]):
         grouped = predict_batch(model, sentences)
         assert [r.labels for r in grouped] == [r.labels for r in alone[:len(sentences)]]
+    assert annotate(model, document, "d1") == expected
+
+
+def test_annotate_peak_for_one_long_sentence_does_not_grow_with_the_model_width():
+    # One sentence of 2000 tokens over 60 distinct words.  Its (T, V) matrix
+    # would take 12.8 MB at width 800 and 112 MB at width 7000; every key
+    # past the document's own trigrams is one that no token has.
+    rng = np.random.default_rng(8)
+    words = ["".join(rng.choice(list("abcdefgh"), 5)) for _ in range(60)]
+    document = " ".join(rng.choice(words, 2000))
+    trigrams = {g for w in words for g in extract_trigrams(w)}
+    peaks = {}
+    for width in (800, 7000):
+        filler = (f"{n:04d}" for n in range(width - N_FLAGS - len(trigrams)))
+        encoder = LexicalEncoder("TRI", [*trigrams, *filler])
+        config = NetworkConfig("BLSTM", input_dim=encoder.dim)
+        model = TaggerModel(encoder, config, init_params(config, 0))
+        assert encoder.dim == width
+        tracemalloc.start()
+        try:
+            annotate(model, document)
+            peaks[width] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 1.1 * min(peaks.values()), peaks
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +441,19 @@ def test_four_class_model_file_is_invalid_input_naming_the_file(tmp_path, tiny_s
     new_body = body[:8] + len(new_header).to_bytes(8, "little") + new_header + data
     path.write_bytes(new_body + hashlib.sha256(new_body).digest())
     message = f"{path}: n_classes is 4, expected 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+    assert cli_main(["annotate", "--model", str(path), "--text", "Aspirin helps."]) == 1
+    assert capsys.readouterr().err == f"ERROR invalid-input: {message}\n"
+
+
+def test_negative_learning_rate_in_header_is_invalid_input_naming_the_file(
+    tmp_path, tiny_sentences, capsys
+):
+    path = tmp_path / "model.stm"
+    save_model(quick_train(tiny_sentences, epochs=1), path)
+    rewrite_header(path, lambda h: _set(h, "network", "learning_rate", -1))
+    message = f"{path}: learning_rate must be positive and finite, got -1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_model(path)
     assert cli_main(["annotate", "--model", str(path), "--text", "Aspirin helps."]) == 1
