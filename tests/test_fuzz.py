@@ -289,8 +289,8 @@ def grouped_models():
     return models
 
 
-_words = st.sampled_from(
-    ["Aspirin", "helps", "the", "PATIENT", "ibuprofen", "mAb", "3", "-", "aaaa", "banana"])
+_WORDS = ["Aspirin", "helps", "the", "PATIENT", "ibuprofen", "mAb", "3", "-", "aaaa", "banana"]
+_words = st.sampled_from(_WORDS)
 # Lengths come from a small pool, so that most lists repeat a length.
 _sentence_lists = st.lists(st.integers(0, 12), min_size=1, max_size=3).flatmap(
     lambda pool: st.lists(
@@ -316,6 +316,9 @@ _sentence_lists = st.lists(st.integers(0, 12), min_size=1, max_size=3).flatmap(
 @example(encoder="TRI", variant="BLSTM", word_lists=[["aaaa", "banana", "mAb", "aaaa", "-"]])
 @example(encoder="DICT", variant="FF", word_lists=[["the", "PATIENT", "ibuprofen", "the", "3"]])
 @example(encoder="EMB", variant="BLSTM", word_lists=[["Aspirin", "-", "banana", "Aspirin"]])
+# One length group of 72 sentences: more lanes than the largest benchmark evaluate group.
+@example(encoder="TRI", variant="BLSTM",
+         word_lists=[[_WORDS[(i + k * k) % 10] for k in range(i % 3, i % 3 + 7)] for i in range(72)])
 def test_fuzz_grouped_prediction_equals_one_sentence_at_a_time(
     grouped_models, encoder, variant, word_lists
 ):

@@ -180,16 +180,19 @@ def reference_lstm_backward(params, prefix, cache, dhidden, grads):
 
 @pytest.mark.parametrize("length", [0, 1, 2, 7, 27, 30])  # 27: a typical annotated sentence
 @pytest.mark.parametrize("reverse", [False, True])  # True: on the views xs[::-1], dhidden[::-1]
-# input width 150 (fwd, bwd), 2 * cells (decoder) and cells (the LSTM variant's lstm2)
-@pytest.mark.parametrize("prefix", ["fwd", "decoder", "bwd", "lstm2"])
-def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix):
+# input width 150 (fwd, bwd), 2 * cells (decoder) and cells (the LSTM variant's lstm2);
+# the paper's 20 cells, and 7 for an odd width (only its ids name the cell count)
+@pytest.mark.parametrize("prefix, cells", [
+    pytest.param(prefix, cells, id=prefix if cells == 20 else f"{prefix}-{cells}cells")
+    for cells in (20, 7) for prefix in ("fwd", "decoder", "bwd", "lstm2")])
+def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix, cells):
     variant = "LSTM" if prefix == "lstm2" else "BLSTM"
-    config = NetworkConfig(variant, input_dim=4, dense_size=150, lstm_cells=20)
+    config = NetworkConfig(variant, input_dim=4, dense_size=150, lstm_cells=cells)
     params = init_params(config, length)
     rng = np.random.default_rng(length + 50)
     in_dim = params.fused[f"{prefix}.wx"].shape[1]
     xs = rng.uniform(-2, 2, (length, in_dim))
-    dhidden = rng.normal(size=(length, 20))
+    dhidden = rng.normal(size=(length, cells))
     if reverse:
         xs, dhidden = xs[::-1], dhidden[::-1]
 
@@ -233,17 +236,21 @@ def test_lstm_backward_leaves_its_inputs_and_repeats_bitwise(length):
 
 
 @pytest.mark.parametrize("length", [0, 1, 7])
-@pytest.mark.parametrize("batch", [1, 5])
+# 87: the largest length group of the benchmark's evaluate; 7 cells: an odd width
+# (only its ids name the cell count)
+@pytest.mark.parametrize("batch, cells", [
+    pytest.param(batch, cells, id=str(batch) if cells == 20 else f"{batch}-{cells}cells")
+    for cells in (20, 7) for batch in (1, 5, 87)])
 @pytest.mark.parametrize("reverse", [False, True])  # True: on the view xs[::-1]
-def test_lstm_batch_axis_matches_one_sentence_at_a_time(length, batch, reverse):
-    config = NetworkConfig("BLSTM", input_dim=4, dense_size=150, lstm_cells=20)
+def test_lstm_batch_axis_matches_one_sentence_at_a_time(length, batch, cells, reverse):
+    config = NetworkConfig("BLSTM", input_dim=4, dense_size=150, lstm_cells=cells)
     params = init_params(config, 3)
     xs = np.random.default_rng(length + batch).uniform(-2, 2, (length, batch, 150))
     if reverse:
         xs = xs[::-1]
     hidden, cache = lstm_forward(params, "fwd", xs)
-    assert hidden.shape == (length, batch, 20)
-    assert cache["state"].shape == cache["hidden"].shape == (length + 1, batch, 20)
+    assert hidden.shape == (length, batch, cells)
+    assert cache["state"].shape == cache["hidden"].shape == (length + 1, batch, cells)
     for b in range(batch):
         alone, _ = lstm_forward(params, "fwd", xs[:, b])
         np.testing.assert_allclose(hidden[:, b], alone, rtol=0, atol=1e-12)
