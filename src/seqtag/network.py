@@ -8,11 +8,11 @@ analytic gradients can be verified against central finite differences.
 Lexical inputs are sparse.  The input weight is stored one contiguous row per
 input column.  ``forward`` reads a sentence as a ``SentenceInput`` record of the
 columns it lights and its values there, and multiplies only their rows;
-backpropagation writes the gradient in those rows alone and records them on the
-gradient buffer, and SGD updates them plus the rest of the buffer.  A sentence
-costs O(active columns x dense_size) in the input layer, not O(input_dim x
-dense_size).  Batched inference needs no record: ``text_input_layer`` sums each
-distinct token text's rows once, and ``forward_batch`` runs the layers above it.
+backpropagation writes the gradient there alone and records them on the gradient
+buffer, and SGD updates them plus the rest of the buffer.  Batched inference needs
+no record: ``text_input_layer`` sums each distinct token text's rows once, and
+``forward_batch`` runs the token-local stage (FF's whole stack, or the first
+recurrence's input products ``_gates_in``) once on them before groups gather it.
 
 The LSTM cell uses the nonstandard state update
 
@@ -36,6 +36,7 @@ from itertools import chain
 import numpy as np
 
 VARIANTS = ("FF", "LSTM", "BLSTM")
+_FIRST_LSTMS = {"FF": (), "LSTM": ("lstm1",), "BLSTM": ("fwd", "bwd")}  # read the input layer
 
 _GATES = ("c", "i", "f", "o")  # candidate, input, forget, output
 
@@ -235,29 +236,30 @@ def _input_backward(prefix, cache, dout, grads):
     grads.input_columns = cols
 
 
-def lstm_forward(params: Params, prefix: str, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run one LSTM direction over a (T, ..., in_dim) sequence, row 0 first.
+def _gates_in(params: Params, prefix: str, xs: np.ndarray) -> np.ndarray:
+    """An LSTM's (T, ..., 4*cells) input pre-activations ``xs @ wx.T + b`` of its four gates."""
+    return xs @ params.fused[f"{prefix}.wx"].T + params.fused[f"{prefix}.b"]
 
-    A (T, in_dim) sentence and a (T, B, in_dim) batch of B sentences of one
-    length run the same lines; no sentence reads another's values.  Returns
-    the (T, ..., cells) hidden states; a backward direction runs on the
-    reversed view ``xs[::-1]``.  Lanes last: ``act`` (candidate, input,
-    forget, output) is (T, 4*cells, ...), ``state`` and ``hidden`` (T+1,
-    cells, ...) with a zero first row; the cache holds (T[+1], ..., width)
-    views of them.  The projection goes into ``act``; its and ``wh``'s gate
-    rows are halved in place.  Each step adds ``np.dot(wh_half, h_prev)``,
-    takes the tanh and maps the gate rows z to ``z * 0.5 + 0.5`` (sigmoid(a)
-    = 0.5 * tanh(a/2) + 0.5 bit for bit: halving is exact), then sets s =
-    tanh(c * i + s_prev * f) and h = s * o, in the module's call form.
+
+def lstm_forward(params: Params, prefix: str, pre: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Run one LSTM direction on its (T, ..., 4*cells) input pre-activations, row 0 first.
+
+    ``pre`` is ``_gates_in`` of the layer's input, back to front for a backward direction.
+    A (T, .) sentence and a (T, B, .) group of B sentences of one length run the same
+    lines; no sentence reads another's values.  Returns the (T, ..., cells) hidden states.
+    Lanes last: ``act`` (candidate, input, forget, output) is a (T, 4*cells, ...) copy of
+    ``pre``, ``state`` and ``hidden`` (T+1, cells, ...) with a zero first row; the cache
+    holds (T[+1], ..., width) views of them.  ``act``'s and ``wh``'s gate rows are halved.
+    Each step adds ``np.dot(wh_half, h_prev)``, takes the tanh and maps the gate rows z to
+    ``z * 0.5 + 0.5`` (sigmoid(a) = 0.5 * tanh(a/2) + 0.5 bit for bit: halving is exact),
+    then sets s = tanh(c * i + s_prev * f) and h = s * o, in the module's call form.
     """
-    T, cells = xs.shape[0], params.fused[f"{prefix}.wh"].shape[1]
+    T, cells = pre.shape[0], params.fused[f"{prefix}.wh"].shape[1]
     wh_half = params.fused[f"{prefix}.wh"].copy()
     wh_half[cells:] *= 0.5
-    act = np.empty((T, 4 * cells, *xs.shape[1:-1]))  # lanes last
-    np.add(xs @ params.fused[f"{prefix}.wx"].T, params.fused[f"{prefix}.b"],
-           act.swapaxes(1, -1))
+    act = pre.swapaxes(1, -1).copy()  # lanes last
     act[:, cells:] *= 0.5
-    state, hidden = np.zeros((2, T + 1, cells, *xs.shape[1:-1]))
+    state, hidden = np.zeros((2, T + 1, cells, *pre.shape[1:-1]))
     rec, prod, half = np.empty(act.shape[1:]), np.empty(state.shape[1:]), np.array(0.5)
     add, multiply, tanh, dot = np.add, np.multiply, np.tanh, np.dot
     blocks = (act[:, k * cells : (k + 1) * cells] for k in range(4))
@@ -274,11 +276,11 @@ def lstm_forward(params: Params, prefix: str, xs: np.ndarray) -> tuple[np.ndarra
         tanh(s, s)
         multiply(s, o, h)
     act, state, hidden = (v.swapaxes(1, -1) for v in (act, state, hidden))
-    return hidden[1:], {"xs": xs, "act": act, "state": state, "hidden": hidden}
+    return hidden[1:], {"act": act, "state": state, "hidden": hidden}
 
 
-def lstm_backward(params, prefix, cache, dhidden, grads):
-    """Exact BPTT through one LSTM direction; returns gradient w.r.t. inputs.
+def lstm_backward(params, prefix, cache, xs, dhidden, grads):
+    """Exact BPTT through one LSTM direction on input ``xs``; returns gradient w.r.t. it.
 
     Block k of the pre-activation gradient is ``((x * partner) * gate) *
     slope`` in the chain rule's order, x being the state-update gradient
@@ -313,7 +315,7 @@ def lstm_backward(params, prefix, cache, dhidden, grads):
         multiply(da, g, da)
         multiply(da, sl, da)
         dot(wh_t, da, dh_next)
-    np.matmul(da_all.T, cache["xs"], grads.fused[f"{prefix}.wx"])
+    np.matmul(da_all.T, xs, grads.fused[f"{prefix}.wx"])
     np.matmul(da_all.T, cache["hidden"][:-1], grads.fused[f"{prefix}.wh"])
     da_all.sum(0, out=grads.fused[f"{prefix}.b"])
     return da_all @ params.fused[f"{prefix}.wx"]
@@ -333,7 +335,8 @@ def forward(
     """
     first = "dense1" if config.variant == "FF" else "dense"
     h, input_cache = _input_forward(params, first, inputs)
-    return _upper_forward(h, config, params, {first: input_cache})
+    pre = [_gates_in(params, p, x) for p, x in zip(_FIRST_LSTMS[config.variant], (h, h[::-1]))]
+    return _upper_forward(h, pre, config, params, {first: input_cache, "h": h})
 
 
 def text_input_layer(entries: list, config: NetworkConfig, params: Params) -> np.ndarray:
@@ -352,24 +355,33 @@ def text_input_layer(entries: list, config: NetworkConfig, params: Params) -> np
     return np.maximum(np.add(pre, params[f"{first}.b"], out=pre), 0.0, out=pre)
 
 
-def forward_batch(h: np.ndarray, config: NetworkConfig, params: Params) -> np.ndarray:
-    """Distributions (T, [B,] n_classes) from the input layer's (T, [B,] dense_size) output."""
-    return _upper_forward(h, config, params, {})[0]
+def forward_batch(h: np.ndarray, groups: list, config: NetworkConfig, params: Params) -> list:
+    """Distributions (T, [B,] n_classes) of each group, B sentences' lists of T rows of ``h``,
+    the input layer's (U, dense_size) output on U texts.  The token-local stage runs once on
+    h; a group of one gathers (T, ...) rows of its output, a larger one (T, B, ...)."""
+    groups = [np.array(g, np.intp).T if len(g) > 1 else np.array(g[0], np.intp) for g in groups]
+    if config.variant == "FF":
+        ys = _upper_forward(h, [], config, params, {})[0]
+        return [ys[ids] for ids in groups]
+    pre = [_gates_in(params, p, h) for p in _FIRST_LSTMS[config.variant]]
+    del h  # the groups read pre alone
+    gathered = ([p[i] for p, i in zip(pre, (ids, ids[::-1]))] for ids in groups)  # bwd reversed
+    return [_upper_forward(None, g, config, params, {})[0] for g in gathered]
 
 
-def _upper_forward(h, config: NetworkConfig, params: Params, cache: dict):
-    """The layers above the input layer, on its (T, ..., dense_size) output."""
+def _upper_forward(h, pre: list, config: NetworkConfig, params: Params, cache: dict):
+    """The layers above the input layer: FF's on its output ``h``, the others' on ``pre``."""
     if config.variant == "FF":
         h2, cache["dense2"] = _dense_forward(params, "dense2", h)
         top, cache["dense3"] = _dense_forward(params, "dense3", h2)
     elif config.variant == "LSTM":
-        h1, cache["lstm1"] = lstm_forward(params, "lstm1", h)
-        top, cache["lstm2"] = lstm_forward(params, "lstm2", h1)
+        cache["h1"], cache["lstm1"] = lstm_forward(params, "lstm1", pre[0])
+        top, cache["lstm2"] = lstm_forward(params, "lstm2", _gates_in(params, "lstm2", cache["h1"]))
     else:  # BLSTM
-        h_fwd, cache["fwd"] = lstm_forward(params, "fwd", h)
-        h_bwd, cache["bwd"] = lstm_forward(params, "bwd", h[::-1])  # runs back to front
-        both = np.concatenate([h_fwd, h_bwd[::-1]], axis=-1)
-        top, cache["decoder"] = lstm_forward(params, "decoder", both)
+        h_fwd, cache["fwd"] = lstm_forward(params, "fwd", pre[0])
+        h_bwd, cache["bwd"] = lstm_forward(params, "bwd", pre[1])  # runs back to front
+        cache["both"] = both = np.concatenate([h_fwd, h_bwd[::-1]], axis=-1)
+        top, cache["decoder"] = lstm_forward(params, "decoder", _gates_in(params, "decoder", both))
     cache["top"] = top
     cache["ys"] = softmax_rows(top @ params["out.w"].T + params["out.b"])
     return cache["ys"], cache
@@ -416,14 +428,14 @@ def backward_bptt(
         d2 = _dense_backward(params, "dense2", cache["dense2"], d3, grads)
         _input_backward("dense1", cache["dense1"], d2, grads)
     elif config.variant == "LSTM":
-        dh1 = lstm_backward(params, "lstm2", cache["lstm2"], dtop, grads)
-        dh0 = lstm_backward(params, "lstm1", cache["lstm1"], dh1, grads)
+        dh1 = lstm_backward(params, "lstm2", cache["lstm2"], cache["h1"], dtop, grads)
+        dh0 = lstm_backward(params, "lstm1", cache["lstm1"], cache["h"], dh1, grads)
         _input_backward("dense", cache["dense"], dh0, grads)
     else:  # BLSTM
-        dboth = lstm_backward(params, "decoder", cache["decoder"], dtop, grads)
-        cells = config.lstm_cells
-        dh0 = lstm_backward(params, "fwd", cache["fwd"], dboth[:, :cells], grads)
-        dh0 += lstm_backward(params, "bwd", cache["bwd"], dboth[::-1, cells:], grads)[::-1]
+        dboth = lstm_backward(params, "decoder", cache["decoder"], cache["both"], dtop, grads)
+        cells, h = config.lstm_cells, cache["h"]
+        dh0 = lstm_backward(params, "fwd", cache["fwd"], h, dboth[:, :cells], grads)
+        dh0 += lstm_backward(params, "bwd", cache["bwd"], h[::-1], dboth[::-1, cells:], grads)[::-1]
         _input_backward("dense", cache["dense"], dh0, grads)
     return grads
 

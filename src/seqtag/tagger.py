@@ -157,24 +157,22 @@ def predict(model: TaggerModel, sentence: Sentence) -> PredictionResult:
 
 
 def predict_batch(model: TaggerModel, sentences: list) -> list[PredictionResult]:
-    """Pure per-token distributions and argmax labels, in input order; argmax ties go to
-    the first of B < I < O.  The input layer runs once per distinct token text, then the
-    sentences of one token count run as one (T, B, ...) batch, or a lone one as (T, ...)."""
+    """Pure per-token distributions and argmax labels, in input order; argmax ties go to the
+    first of B < I < O.  The input layer and the token-local stage run once per distinct text,
+    then the sentences of one token count run as one (T, B, ...) batch, a lone one as (T, ...)."""
     config, params, encoder = model.config, model.params, model.encoder
     groups: dict[int, list[int]] = {}
     for n, sentence in enumerate(sentences):
         groups.setdefault(len(sentence.tokens), []).append(n)
-    texts = dict.fromkeys(tok.text for sentence in sentences for tok in sentence.tokens)
-    h = text_input_layer([encoder.nonzeros(encoder.code(t)) for t in texts], config, params)
-    row = {text: u for u, text in enumerate(texts)}  # h[row[text]] is the text's output
+    row = {t: u for u, t in enumerate(dict.fromkeys(w.text for s in sentences for w in s.tokens))}
+    ids = [[[row[t.text] for t in sentences[n].tokens] for n in m] for m in groups.values()]
+    entries = [encoder.nonzeros(encoder.code(t)) for t in row]  # row u of the outputs is text u
+    blocks = forward_batch(text_input_layer(entries, config, params), ids, config, params)
     results: list = [None] * len(sentences)
-    for members in groups.values():
-        ids = np.array([[row[t.text] for t in sentences[n].tokens] for n in members], np.intp).T
-        ys = forward_batch(h[ids[:, 0] if len(members) == 1 else ids], config, params)
-        ys = ys.reshape(*ids.shape, config.n_classes)
-        best = np.argmax(ys, axis=-1)
-        for b, n in enumerate(members):
-            results[n] = PredictionResult(tuple(LABELS[i] for i in best[:, b]), ys[:, b])
+    for members, ys in zip(groups.values(), blocks):
+        ys = ys.reshape(len(ys), len(members), config.n_classes)
+        for b, (n, best) in enumerate(zip(members, np.argmax(ys, axis=-1).T.tolist())):
+            results[n] = PredictionResult(tuple(map(LABELS.__getitem__, best)), ys[:, b])
     return results
 
 

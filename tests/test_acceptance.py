@@ -28,7 +28,7 @@ from seqtag.encoder import (
     encode_sentence,
 )
 from seqtag.evaluation import count_document, evaluate, micro_scores
-from seqtag.network import NetworkConfig, Params, gradient_check, lstm_forward
+from seqtag.network import NetworkConfig, Params, _gates_in, gradient_check, lstm_forward
 from seqtag.synth import SynthConfig, synthetic_corpus
 from seqtag.tagger import TrainingConfig, decode_spans, predict, train
 
@@ -86,7 +86,7 @@ def test_equation_fidelity_scalar_trace():
     for name, value in SCALAR_PARAMS.items():
         params[name][...] = value
     xs = np.array([[1.0], [-0.5], [0.25]])
-    hidden, cache = lstm_forward(params, "u", xs)
+    hidden, cache = lstm_forward(params, "u", _gates_in(params, "u", xs))
     for t, (s_exp, h_exp) in enumerate(SCALAR_TRACE):
         assert hidden[t, 0] == pytest.approx(h_exp, rel=1e-12)
         assert cache["state"][t + 1, 0] == pytest.approx(s_exp, rel=1e-12)

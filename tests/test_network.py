@@ -12,6 +12,7 @@ from seqtag.network import (
     NetworkConfig,
     Params,
     SentenceInput,
+    _gates_in,
     _input_forward,
     backward_bptt,
     forward,
@@ -81,8 +82,8 @@ def test_scalar_oracle_matches_frozen_constants():
 
 
 def test_lstm_forward_reproduces_scalar_trace():
-    xs = np.array([[x] for x in SCALAR_INPUTS])
-    hidden, cache = lstm_forward(scalar_params(), "u", xs)
+    xs, params = np.array([[x] for x in SCALAR_INPUTS]), scalar_params()
+    hidden, cache = lstm_forward(params, "u", _gates_in(params, "u", xs))
     for t in range(3):
         assert hidden[t, 0] == pytest.approx(EXPECTED_HIDDEN[t], rel=1e-12)
         assert cache["state"][t + 1, 0] == pytest.approx(EXPECTED_STATE[t], rel=1e-12)
@@ -90,14 +91,15 @@ def test_lstm_forward_reproduces_scalar_trace():
 
 def test_lstm_zero_params_fixpoint():
     params = make_params({name: np.zeros_like(t) for name, t in scalar_params().items()})
-    hidden, cache = lstm_forward(params, "u", np.random.default_rng(0).uniform(-1, 1, (4, 1)))
+    xs = np.random.default_rng(0).uniform(-1, 1, (4, 1))
+    hidden, cache = lstm_forward(params, "u", _gates_in(params, "u", xs))
     assert np.all(hidden == 0.0)  # out gate 0.5, state tanh(0) = 0
     assert np.allclose(cache["act"][:, 3:], 0.5)  # output gate column
 
 
 def test_lstm_single_step_has_no_recurrence():
-    xs = np.array([[0.7]])
-    hidden, _ = lstm_forward(scalar_params(), "u", xs)
+    xs, params = np.array([[0.7]]), scalar_params()
+    hidden, _ = lstm_forward(params, "u", _gates_in(params, "u", xs))
     (s0, h0), = scalar_reference_trace(SCALAR_WEIGHTS, [0.7])
     assert hidden[0, 0] == pytest.approx(h0, rel=1e-12)
 
@@ -108,12 +110,14 @@ def test_lstm_backward_direction_realigns_states():
     params = init_params(cfg, 1)
     _, cache = forward(sentence_input(rng.uniform(-1, 1, (5, 4))), cfg, params)
     h = np.maximum(cache["dense"]["pre"], 0.0)
-    h_fwd, _ = lstm_forward(params, "fwd", h)
-    h_bwd, _ = lstm_forward(params, "bwd", h[::-1])
+    h_fwd, _ = lstm_forward(params, "fwd", _gates_in(params, "fwd", h))
+    h_bwd, _ = lstm_forward(params, "bwd", _gates_in(params, "bwd", h[::-1]))
     both = np.concatenate([h_fwd, h_bwd[::-1]], axis=1)
     # The last token's backward state is the first step of the backward run.
-    assert np.allclose(both[-1, 3:], lstm_forward(params, "bwd", h[-1:])[0][0])
-    assert np.allclose(cache["top"], lstm_forward(params, "decoder", both)[0])
+    last_alone, _ = lstm_forward(params, "bwd", _gates_in(params, "bwd", h[-1:]))
+    assert np.allclose(both[-1, 3:], last_alone[0])
+    top, _ = lstm_forward(params, "decoder", _gates_in(params, "decoder", both))
+    assert np.allclose(cache["top"], top)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +200,14 @@ def test_lstm_matches_per_gate_reference_bitwise(length, reverse, prefix, cells)
     if reverse:
         xs, dhidden = xs[::-1], dhidden[::-1]
 
-    hidden, cache = lstm_forward(params, prefix, xs)
+    hidden, cache = lstm_forward(params, prefix, _gates_in(params, prefix, xs))
     ref_hidden, ref_cache = reference_lstm_forward(params, prefix, xs)
-    assert sorted(cache) == ["act", "hidden", "state", "xs"]
+    assert sorted(cache) == ["act", "hidden", "state"]
     assert np.array_equal(hidden, ref_hidden)
     assert np.array_equal(cache["state"][1:], ref_cache["state"])
 
     grads, ref_grads = zero_gradients(config), zero_gradients(config)
-    dxs = lstm_backward(params, prefix, cache, dhidden, grads)
+    dxs = lstm_backward(params, prefix, cache, xs, dhidden, grads)
     ref_dxs = reference_lstm_backward(params, prefix, ref_cache, dhidden, ref_grads)
     assert np.array_equal(dxs, ref_dxs)
     for kind in ("wx", "wh", "b"):
@@ -219,18 +223,19 @@ def test_lstm_backward_leaves_its_inputs_and_repeats_bitwise(length):
     params = init_params(config, 2)
     rng = np.random.default_rng(length)
     dhidden = rng.normal(size=(length, 40))[::-1, 20:]  # a view, as the BLSTM passes it
-    _, cache = lstm_forward(params, "bwd", rng.uniform(-2, 2, (length, 150))[::-1])
+    xs = rng.uniform(-2, 2, (length, 150))[::-1]
+    _, cache = lstm_forward(params, "bwd", _gates_in(params, "bwd", xs))
     before = {key: value.copy() for key, value in cache.items()}
     dhidden_before = dhidden.copy()
 
     grads = zero_gradients(config)
-    dxs = lstm_backward(params, "bwd", cache, dhidden, grads)
+    dxs = lstm_backward(params, "bwd", cache, xs, dhidden, grads)
     first = {kind: grads.fused[f"bwd.{kind}"].copy() for kind in ("wx", "wh", "b")}
     assert np.array_equal(dhidden, dhidden_before)
     for key, value in before.items():
         assert np.array_equal(cache[key], value), key
     grads.flat[:] = np.nan  # the second call must overwrite every entry it wrote
-    assert lstm_backward(params, "bwd", cache, dhidden, grads).tobytes() == dxs.tobytes()
+    assert lstm_backward(params, "bwd", cache, xs, dhidden, grads).tobytes() == dxs.tobytes()
     for kind, value in first.items():
         assert grads.fused[f"bwd.{kind}"].tobytes() == value.tobytes(), kind
 
@@ -248,11 +253,11 @@ def test_lstm_batch_axis_matches_one_sentence_at_a_time(length, batch, cells, re
     xs = np.random.default_rng(length + batch).uniform(-2, 2, (length, batch, 150))
     if reverse:
         xs = xs[::-1]
-    hidden, cache = lstm_forward(params, "fwd", xs)
+    hidden, cache = lstm_forward(params, "fwd", _gates_in(params, "fwd", xs))
     assert hidden.shape == (length, batch, cells)
     assert cache["state"].shape == cache["hidden"].shape == (length + 1, batch, cells)
     for b in range(batch):
-        alone, _ = lstm_forward(params, "fwd", xs[:, b])
+        alone, _ = lstm_forward(params, "fwd", _gates_in(params, "fwd", xs[:, b]))
         np.testing.assert_allclose(hidden[:, b], alone, rtol=0, atol=1e-12)
 
 
@@ -264,7 +269,7 @@ def test_gate_ranges():
     cfg = NetworkConfig("LSTM", input_dim=6, dense_size=8, lstm_cells=4)
     params = init_params(cfg, 5)
     xs = np.random.default_rng(7).uniform(-2, 2, (9, 8))
-    _, cache = lstm_forward(params, "lstm1", xs)
+    _, cache = lstm_forward(params, "lstm1", _gates_in(params, "lstm1", xs))
     cells = cfg.lstm_cells
     gates, cand = cache["act"][:, cells:], cache["act"][:, :cells]
     assert np.all((gates > 0) & (gates < 1))  # input, forget and output gates

@@ -15,7 +15,7 @@ from seqtag.corpus import LABELS, MentionSpan, Sentence, Token, split_sentences,
 from seqtag.encoder import N_FLAGS, EmbeddingTable, LexicalEncoder, extract_trigrams
 from seqtag.network import NetworkConfig, init_params
 from seqtag.synth import SynthConfig, synthetic_corpus
-from seqtag import tagger
+from seqtag import network, tagger
 from seqtag.tagger import (
     TaggerModel,
     TrainingConfig,
@@ -198,6 +198,40 @@ def test_grouped_prediction_builds_no_dense_matrix_and_no_record(monkeypatch, ti
         grouped = predict_batch(model, sentences)
         assert [r.labels for r in grouped] == [r.labels for r in alone[:len(sentences)]]
     assert annotate(model, document, "d1") == expected
+
+
+@pytest.mark.parametrize("variant, local", [
+    ("FF", ["dense2", "dense3"]), ("LSTM", ["lstm1"]), ("BLSTM", ["fwd", "bwd"])])
+def test_grouped_prediction_runs_the_token_local_stage_once_per_distinct_text(
+        monkeypatch, variant, local):
+    # 14 tokens over U = 4 distinct texts: a group of two 5-token sentences and
+    # a lone 4-token one.  The layers fed by the input layer (FF's whole stack)
+    # see one row per text; lstm2 and the decoder see the groups' tokens.
+    sentences = [make_sentence(w.split()) for w in (
+        "aspirin dose aspirin of dose", "of aspirin aspirin dose of", "dose of dose tablet")]
+    words = {t.text for s in sentences for t in s.tokens}
+    encoder = LexicalEncoder("TRI", sorted({g for w in words for g in extract_trigrams(w)}))
+    config = NetworkConfig(variant, input_dim=encoder.dim, dense_size=12, lstm_cells=5)
+    model = TaggerModel(encoder, config, init_params(config, 4))
+    alone = [predict(model, s) for s in sentences]
+    rows = []
+
+    def recording(fn):
+        def wrapped(params, prefix, xs):
+            rows.append((prefix, xs.shape))
+            return fn(params, prefix, xs)
+        return wrapped
+
+    monkeypatch.setattr(network, "_gates_in", recording(network._gates_in))
+    monkeypatch.setattr(network, "_dense_forward", recording(network._dense_forward))
+    grouped = predict_batch(model, sentences)
+    assert [(p, shape) for p, shape in rows if p in local] == [(p, (4, 12)) for p in local]
+    upper = {"FF": [], "LSTM": ["lstm2"] * 2, "BLSTM": ["decoder"] * 2}[variant]
+    assert [p for p, _ in rows if p not in local] == upper
+    assert all(shape[:-1] in {(5, 2), (4,)} for p, shape in rows if p not in local)
+    for got, want in zip(grouped, alone):
+        assert got.labels == want.labels
+        np.testing.assert_allclose(got.distributions, want.distributions, rtol=0, atol=1e-12)
 
 
 def test_annotate_peak_for_one_long_sentence_does_not_grow_with_the_model_width():
