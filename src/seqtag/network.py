@@ -5,14 +5,14 @@ buffer, keyed by ``"<layer>.<tensor>"``.  Initialized, loaded and gradient
 tensors all use this one type.  Everything runs in double precision so
 analytic gradients can be verified against central finite differences.
 
-Lexical inputs are sparse.  The input weight is stored one contiguous row per
-input column.  ``forward`` reads a sentence as a ``SentenceInput`` record of the
-columns it lights and its values there, and multiplies only their rows;
-backpropagation writes the gradient there alone and records them on the gradient
-buffer, and SGD updates them plus the rest of the buffer.  Batched inference needs
-no record: ``text_input_layer`` sums each distinct token text's rows once, and
-``forward_batch`` runs the token-local stage (FF's whole stack, or the first
-recurrence's input products ``_gates_in``) once on them before groups gather it.
+Lexical inputs are sparse.  The input weight is stored one contiguous row per input
+column.  ``forward`` reads a sentence as a ``SentenceInput`` record of the columns it
+lights and its values there, and multiplies only their rows; backpropagation writes the
+gradient in those rows alone and records them on the gradient buffer, and SGD updates
+them plus the rest of the buffer: a sentence costs O(active columns x dense_size) in the
+input layer.  Batched inference needs no record: ``text_input_layer`` sums each distinct
+token text's rows once, and ``forward_batch`` runs the token-local stage (FF's whole
+stack, or the first recurrence's input products ``_gates_in``) once on them.
 
 The LSTM cell uses the nonstandard state update
 
