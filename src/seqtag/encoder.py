@@ -4,8 +4,8 @@ Every encoder turns a token's text into a code, a pure function of the text
 that holds its surface flags.  ``nonzeros`` lists the distinct slots of a
 token's row that a code sets, and their values, the four flag slots
 (``flag_slots``) after the lexical part; it is the one place the row layout
-lives.  ``encode_sentence`` fills a sentence matrix from it and from a dict of
-codes shared across a ``train`` call, so each distinct text is encoded once.
+lives.  ``encode_sentence`` writes ``predict``'s dense sentence matrix from the
+record that ``network`` builds from it; training and ``predict_batch`` read records.
 The lexical encoder's vocabulary is the sorted set of the keys it is built
 from, key i owning slot i; a code holds the sorted distinct slots of the
 token's known keys, so a repeated trigram sets its slot once.  TRI's keys are
@@ -16,12 +16,13 @@ up by the token's exact text.  Encoders are immutable.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .corpus import Sentence, _read_text
+from .network import _nonzeros_input
 
 ENCODER_METHODS = ("DICT", "EMB", "TRI")
 
@@ -202,16 +203,9 @@ def build_encoder(
     raise ValueError(f"unknown encoder method {method!r}; expected DICT, EMB or TRI")
 
 
-def encode_sentence(encoder: TokenEncoder, sentence: Sentence, codes: dict) -> np.ndarray:
-    """Encode a sentence as a (n_tokens, encoder.dim) matrix, adding new texts to ``codes``."""
-    entries = []
-    for tok in sentence.tokens:
-        if (code := codes.get(tok.text)) is None:
-            code = codes[tok.text] = encoder.code(tok.text)
-        entries.append(encoder.nonzeros(code))
-    xs = np.zeros((len(entries), encoder.dim))
-    if entries:  # every token's non-zeros, written in one step
-        slots, values = zip(*entries)
-        rows = np.repeat(np.arange(len(entries)), [*map(len, slots)])
-        xs[rows, np.fromiter(chain(*slots), np.intp)] = np.fromiter(chain(*values), np.float64)
+def encode_sentence(encoder: TokenEncoder, sentence: Sentence) -> np.ndarray:
+    """Encode a sentence as a (n_tokens, encoder.dim) matrix: ``predict``'s reference input."""
+    entries = [encoder.nonzeros(encoder.code(tok.text)) for tok in sentence.tokens]
+    record, xs = _nonzeros_input(entries, encoder.dim), np.zeros((len(entries), encoder.dim))
+    xs[:, record.cols] = record.values
     return xs

@@ -6,13 +6,12 @@ tensors all use this one type.  Everything runs in double precision so
 analytic gradients can be verified against central finite differences.
 
 Lexical inputs are sparse.  The input weight is stored one contiguous row per input
-column.  ``forward`` reads a sentence as a ``SentenceInput`` record of the columns it
-lights and its values there, and multiplies only their rows; backpropagation writes the
-gradient in those rows alone and records them on the gradient buffer, and SGD updates
-them plus the rest of the buffer: a sentence costs O(active columns x dense_size) in the
-input layer.  Batched inference needs no record: ``text_input_layer`` sums each distinct
-token text's rows once, and ``forward_batch`` runs the token-local stage (FF's whole
-stack, or the first recurrence's input products ``_gates_in``) once on them.
+column, and one product computes the input layer: ``_input_forward`` multiplies a
+``SentenceInput`` record (the columns its rows light, their values there) by those rows
+alone.  Training builds one record per sentence from its tokens' ``nonzeros``, writes the
+gradient in those rows, and SGD updates them plus the rest of the buffer.  Batched
+inference runs the product on records of TEXT_BLOCK distinct texts (``text_input_layer``),
+then the token-local stage (FF's stack, or ``_gates_in``) once on its output (``forward_batch``).
 
 The LSTM cell uses the nonstandard state update
 
@@ -41,7 +40,7 @@ _FIRST_LSTMS = {"FF": (), "LSTM": ("lstm1",), "BLSTM": ("fwd", "bwd")}  # read t
 _GATES = ("c", "i", "f", "o")  # candidate, input, forget, output
 
 _LOG_EPS = 1e-12  # clamp for log-loss of near-zero probabilities
-TEXT_BLOCK = 64  # texts per block of text_input_layer's segment sums
+TEXT_BLOCK = 32  # texts per record of text_input_layer: at 64, few columns are shared
 
 
 @dataclass(frozen=True)
@@ -210,6 +209,17 @@ def sentence_input(xs) -> SentenceInput:
     return SentenceInput(cols, xs[:, cols], xs.shape[1])
 
 
+def _nonzeros_input(entries: list, input_dim: int) -> SentenceInput:
+    """The record of rows given by their ``nonzeros`` entries: bit for bit ``sentence_input``
+    of their (rows, input_dim) matrix, which is never built."""
+    slots, values = zip(*entries) if entries else ((), ())
+    used, at = np.unique(np.fromiter(chain(*slots), np.intp), return_inverse=True)
+    xs = np.zeros((len(entries), len(used)))  # over the slots the entries list
+    xs[np.repeat(np.arange(len(xs)), [*map(len, slots)]), at] = np.fromiter(chain(*values), float)
+    lit = xs.any(axis=0)  # EMB lists zero vector components
+    return SentenceInput(used[lit], xs[:, lit], input_dim)
+
+
 def _input_forward(params, prefix, inputs: SentenceInput):
     """The input layer on the rows of the columns the sentence uses."""
     rows = params[f"{prefix}.w"].T
@@ -341,18 +351,13 @@ def forward(
 
 def text_input_layer(entries: list, config: NetworkConfig, params: Params) -> np.ndarray:
     """The input layer's (U, dense_size) output on U texts, each given by its code's
-    ``nonzeros``: relu(bias + sum of values * rows[slots]), summed TEXT_BLOCK texts at a time."""
+    ``nonzeros``: ``_input_forward`` on the record of each TEXT_BLOCK texts."""
     first = "dense1" if config.variant == "FF" else "dense"
-    rows, pre = params[f"{first}.w"].T, np.zeros((len(entries), config.dense_size))
+    h = np.empty((len(entries), config.dense_size))
     for lo in range(0, len(entries), TEXT_BLOCK):
-        slots, values = zip(*entries[lo : lo + TEXT_BLOCK])
-        sizes = np.array([*map(len, slots)])
-        products = rows[np.fromiter(chain(*slots), np.intp)]
-        products *= np.fromiter(chain(*values), np.float64)[:, None]
-        lit = sizes > 0  # reduceat gives an empty segment the next row, not 0
-        pre[lo : lo + TEXT_BLOCK][lit] = np.add.reduceat(products, (np.cumsum(sizes) - sizes)[lit])
-        del products  # freed before the next block's are made
-    return np.maximum(np.add(pre, params[f"{first}.b"], out=pre), 0.0, out=pre)
+        record = _nonzeros_input(entries[lo : lo + TEXT_BLOCK], config.input_dim)
+        h[lo : lo + TEXT_BLOCK] = _input_forward(params, first, record)[0]
+    return h
 
 
 def forward_batch(h: np.ndarray, groups: list, config: NetworkConfig, params: Params) -> list:

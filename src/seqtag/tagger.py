@@ -26,6 +26,7 @@ from .encoder import (
 from .network import (
     NetworkConfig,
     Params,
+    _nonzeros_input,
     backward_bptt,
     forward,
     forward_batch,
@@ -112,9 +113,9 @@ def train(
     params = init_params(config, training.seed)
     grads = zero_gradients(config)
 
-    # One dense (T, input_dim) matrix is alive at a time: each becomes a record.
-    codes: dict = {}  # shared by every sentence, so each distinct text is encoded once
-    inputs = [sentence_input(encode_sentence(encoder, s, codes)) for s in sentences]
+    texts = {w.text for s in sentences for w in s.tokens}  # each is encoded once
+    entry = {t: encoder.nonzeros(encoder.code(t)) for t in texts}
+    inputs = [_nonzeros_input([entry[w.text] for w in s.tokens], encoder.dim) for s in sentences]
     golds = [
         np.array([LABEL_TO_INDEX[lab] for lab in s.labels], dtype=np.int64)
         for s in sentences
@@ -151,7 +152,7 @@ def train(
 
 def predict(model: TaggerModel, sentence: Sentence) -> PredictionResult:
     """Training's forward pass on one sentence's record: the reference for ``predict_batch``."""
-    record = sentence_input(encode_sentence(model.encoder, sentence, {}))
+    record = sentence_input(encode_sentence(model.encoder, sentence))
     ys = forward(record, model.config, model.params)[0]
     return PredictionResult(tuple(LABELS[i] for i in np.argmax(ys, axis=-1)), ys)
 

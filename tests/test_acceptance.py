@@ -202,7 +202,7 @@ def _encode_words(encoder, *words):
     for word in words:
         tokens.append(Token(word, pos, pos + len(word)))
         pos += len(word) + 1
-    return encode_sentence(encoder, Sentence(tuple(tokens)), {})
+    return encode_sentence(encoder, Sentence(tuple(tokens)))
 
 
 def test_encoder_robustness_10000_pairs():

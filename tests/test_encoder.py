@@ -237,37 +237,11 @@ def test_encode_sentence_shape_and_empty():
                 build_encoder("EMB", table=table)]
     sentence = sentence_of("ab", "XY", "cd", "x", "Abcd", "ab")
     for enc in encoders:
-        mat = encode_sentence(enc, sentence, {})
+        mat = encode_sentence(enc, sentence)
         assert mat.shape == (6, enc.dim) and mat.dtype == np.float64
         for tok, row in zip(sentence.tokens, mat):
             assert row.tobytes() == encode_token(enc, tok.text).tobytes(), (enc.method, tok.text)
-        assert encode_sentence(enc, Sentence(()), {}).shape == (0, enc.dim)
-
-
-_shared_words = st.text(alphabet="aAbB\u00e9\u01c5\u03a3\u03c3\u4e2d1-.", min_size=1, max_size=4)
-
-
-@given(
-    st.sampled_from(["TRI", "DICT", "EMB"]),
-    st.lists(st.lists(_shared_words, max_size=8), max_size=8),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=200, deadline=None)
-def test_shared_codes_encode_like_fresh_codes(method, word_lists, seed):
-    sentences = [sentence_of(*words) for words in word_lists]
-    vocabulary = sorted({w for words in word_lists[::2] for w in words} | {"ab"})
-    if method == "EMB":
-        vectors = np.random.default_rng(seed).normal(size=(len(vocabulary), 3))
-        encoder = build_encoder("EMB", table=EmbeddingTable(vocabulary, vectors))
-    else:
-        encoder = build_encoder(method, [sentence_of(*vocabulary)])
-    codes = {}
-    for sentence in sentences:
-        shared = encode_sentence(encoder, sentence, codes)
-        fresh = encode_sentence(encoder, sentence, {})
-        assert shared.shape == fresh.shape == (len(sentence.tokens), encoder.dim)
-        assert shared.tobytes() == fresh.tobytes()
-    assert set(codes) == {tok.text for sentence in sentences for tok in sentence.tokens}
+        assert encode_sentence(enc, Sentence(())).shape == (0, enc.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ def file_content(text_strategy):
 
 
 def write(path, content):
+    # A new file, not one rewritten in place: replacing the contents of an
+    # existing file can wait on the disk for tens of milliseconds.
+    path.unlink(missing_ok=True)
     if isinstance(content, bytes):
         path.write_bytes(content)
     else:
@@ -218,6 +221,7 @@ def test_fuzz_model_header_loads_or_value_error(tmp_path, model_files, data):
     header_bytes = json.dumps(mutate(data, header)).encode("utf-8")
     body = b"SEQTAGM1" + len(header_bytes).to_bytes(8, "little") + header_bytes + tensors
     path = tmp_path / "model.stm"
+    path.unlink(missing_ok=True)  # as in write
     path.write_bytes(body + hashlib.sha256(body).digest())
     model = loads_or_value_error(load_model, path)
     if model is not None:

@@ -14,6 +14,7 @@ from seqtag.network import (
     SentenceInput,
     _gates_in,
     _input_forward,
+    _nonzeros_input,
     backward_bptt,
     forward,
     gradient_check,
@@ -539,13 +540,16 @@ def sentence_of(texts):
 
 
 def text_encoders():
-    """A TRI, a DICT and an EMB encoder.  None of them knows "-", which has no
-    letter and so sets no flag: it has no entry at all."""
+    """A TRI, a DICT and two EMB encoders; the second's vectors hold 0.0
+    components, and one slot is 0.0 in all of them.  None of them knows "-",
+    which has no letter and so sets no flag: it has no entry at all."""
     words = ["Aspirin", "banana", "aaaa", "the", "PATIENT", "mAb"]
     vectors = np.random.default_rng(6).normal(size=(4, 3))
+    zeros = vectors * [[1, 0, 1], [0, 0, 1], [1, 0, 0], [1, 0, 1]]
     return {"TRI": build_encoder("TRI", [sentence_of(words)]),
             "DICT": build_encoder("DICT", [sentence_of(words)]),
-            "EMB": EmbeddingTable(words[:4], vectors)}
+            "EMB": EmbeddingTable(words[:4], vectors),
+            "EMB with zeros": EmbeddingTable(words[:4], zeros)}
 
 
 TEXT_CASES = {
@@ -559,7 +563,7 @@ assert len(TEXT_CASES["over one block"]) > TEXT_BLOCK
 
 
 @pytest.mark.parametrize("variant", ["FF", "BLSTM"])
-@pytest.mark.parametrize("method", ["TRI", "DICT", "EMB"])
+@pytest.mark.parametrize("method", ["TRI", "DICT", "EMB", "EMB with zeros"])
 @pytest.mark.parametrize("case", list(TEXT_CASES))
 def test_text_input_layer_matches_the_input_layer_on_a_record(variant, method, case):
     encoder, texts = text_encoders()[method], TEXT_CASES[case]
@@ -567,9 +571,16 @@ def test_text_input_layer_matches_the_input_layer_on_a_record(variant, method, c
     params = init_params(config, 3)
     layer = input_layer(config)
     params[f"{layer}.b"][:] = np.random.default_rng(8).uniform(-0.5, 0.5, 6)
-    record = sentence_input(encode_sentence(encoder, sentence_of(texts), {}))
+    record = sentence_input(encode_sentence(encoder, sentence_of(texts)))
+    entries = [encoder.nonzeros(encoder.code(t)) for t in texts]
+    built = _nonzeros_input(entries, encoder.dim)  # training's record, bit for bit
+    assert built.input_dim == record.input_dim
+    for got, want in ((built.cols, record.cols), (built.values, record.values)):
+        layout = [(a.dtype, a.shape, a.flags.c_contiguous, a.flags.f_contiguous) for a in (got, want)]
+        assert layout[0] == layout[1]  # a product's summation order may follow the layout
+        assert got.tobytes() == want.tobytes()
     expected = _input_forward(params, layer, record)[0]
-    got = text_input_layer([encoder.nonzeros(encoder.code(t)) for t in texts], config, params)
+    got = text_input_layer(entries, config, params)
     assert got.shape == expected.shape == (len(texts), 6)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     if "-" in texts:
@@ -578,6 +589,26 @@ def test_text_input_layer_matches_the_input_layer_on_a_record(variant, method, c
     if case == "repeated trigram" and method == "TRI":
         assert extract_trigrams("banana").count("ana") == 2  # its slot is set once
         assert encoder.code("banana")[0].count(encoder.index["ana"]) == 1
+
+
+def test_a_records_peak_memory_does_not_grow_with_the_input_width():
+    # One 2000-token sentence over 200 words of a DICT vocabulary of width 800
+    # or 7000: its (T, V) matrix alone would be 12.8 or 112 MB.
+    peaks = []
+    for width in (800, 7000):
+        encoder = build_encoder("DICT", [sentence_of([f"w{i:04d}" for i in range(width - 4)])])
+        assert encoder.dim == width
+        words = np.random.default_rng(1).integers(0, 200, 2000)
+        entries = [encoder.nonzeros(encoder.code(f"w{i:04d}")) for i in words]
+        tracemalloc.start()
+        try:
+            record = _nonzeros_input(entries, encoder.dim)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert record.values.shape == (2000, len(set(words)) + 1)  # and the lowercase flag
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+    assert peaks[0] < 2000 * 800 * 8, peaks
 
 
 def test_text_input_layer_transient_memory_does_not_grow_with_the_text_count():

@@ -200,6 +200,27 @@ def test_grouped_prediction_builds_no_dense_matrix_and_no_record(monkeypatch, ti
     assert annotate(model, document, "d1") == expected
 
 
+def test_training_builds_no_dense_matrix(monkeypatch, tiny_sentences):
+    # Set-up builds each sentence's record from its tokens' non-zeros, and the
+    # model is the one the dense matrices' records give, bit for bit.
+    def dense_record(entries, input_dim):
+        xs = np.zeros((len(entries), input_dim))
+        for row, (slots, values) in zip(xs, entries):
+            row[slots] = values
+        return network.sentence_input(xs)
+
+    with monkeypatch.context() as dense:
+        dense.setattr(tagger, "_nonzeros_input", dense_record)
+        expected = quick_train(tiny_sentences).params.flat.tobytes()
+
+    def refuse(*args):
+        raise AssertionError("train built a (T, V) matrix")
+
+    monkeypatch.setattr(tagger, "encode_sentence", refuse)
+    monkeypatch.setattr(tagger, "sentence_input", refuse)
+    assert quick_train(tiny_sentences).params.flat.tobytes() == expected
+
+
 @pytest.mark.parametrize("variant, local", [
     ("FF", ["dense2", "dense3"]), ("LSTM", ["lstm1"]), ("BLSTM", ["fwd", "bwd"])])
 def test_grouped_prediction_runs_the_token_local_stage_once_per_distinct_text(
