@@ -408,6 +408,8 @@ def _standoff_records(content: str, path) -> list:
         obj = json.loads(content.strip())
     except json.JSONDecodeError:
         obj = None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if obj is not None:
         if isinstance(obj, list):
             return obj
@@ -424,7 +426,7 @@ def _standoff_records(content: str, path) -> list:
             continue
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from None
     return records
 

@@ -1,17 +1,16 @@
-"""Token encoders: one lexical multi-hot code and pretrained embeddings.
+"""Token encoders: one lexical multi-hot encoder and pretrained embeddings.
 
-Every encoder turns a token's text into a code, a pure function of the text
-that holds its surface flags.  ``nonzeros`` lists the distinct slots of a
-token's row that a code sets, and their values, the four flag slots
-(``flag_slots``) after the lexical part; it is the one place the row layout
-lives.  ``encode_sentence`` writes ``predict``'s dense sentence matrix from the
-record that ``network`` builds from it; training and ``predict_batch`` read records.
+Every encoder's ``nonzeros`` turns a token's text into its input row, a pure
+function of the text: the distinct slots the row sets and their values, the
+four flag slots (``flag_slots``) after the lexical part.  It is the one place
+the row layout lives; ``encode_sentence`` writes ``predict``'s dense sentence
+matrix from it, and training and ``predict_batch`` build records from it.
 The lexical encoder's vocabulary is the sorted set of the keys it is built
-from, key i owning slot i; a code holds the sorted distinct slots of the
-token's known keys, so a repeated trigram sets its slot once.  TRI's keys are
-the token's letter trigrams (word hashing); DICT's one key is the lowercased
-token, so DICT is the one-key case of TRI.  EMB is its embedding table, looked
-up by the token's exact text.  Encoders are immutable.
+from, key i owning slot i; a token sets the sorted distinct slots of its
+known keys, so a repeated trigram sets its slot once.  TRI's keys are the
+token's letter trigrams (word hashing); DICT's one key is the lowercased
+token, so DICT is the one-key case of TRI.  EMB is its embedding table,
+looked up by the token's exact text.  Encoders are immutable.
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import Sentence, _read_text
-from .network import _nonzeros_input
 
 ENCODER_METHODS = ("DICT", "EMB", "TRI")
 
@@ -102,12 +100,9 @@ class EmbeddingTable:
         self.dim = vectors.shape[1] + N_FLAGS
         self.flag_slots = range(vectors.shape[1], self.dim)
 
-    def code(self, token_text: str) -> tuple[int | None, SurfaceFlags]:
-        return self.index.get(token_text), surface_flags(token_text)
-
-    def nonzeros(self, code: tuple[int | None, SurfaceFlags]) -> tuple[list, list]:
-        vector = [] if code[0] is None else self.vectors[code[0]].tolist()
-        lit = [*compress(self.flag_slots, code[1])]
+    def nonzeros(self, token_text: str) -> tuple[list, list]:
+        vector = self.vectors[self.index[token_text]].tolist() if token_text in self.index else []
+        lit = [*compress(self.flag_slots, surface_flags(token_text))]
         return [*range(len(vector)), *lit], vector + [1.0] * len(lit)
 
 
@@ -166,18 +161,15 @@ class LexicalEncoder:
         self.dim = len(self.keys) + N_FLAGS
         self.flag_slots = range(len(self.keys), self.dim)
 
-    def code(self, token_text: str) -> tuple[tuple[int, ...], SurfaceFlags]:
-        """The sorted distinct slots of the token's known keys, as a tuple of
-        ints that the garbage collector stops tracking, and the token's flags."""
+    def nonzeros(self, token_text: str) -> tuple[list, list]:
+        """The sorted distinct slots of the token's known keys, then its flag slots, each 1.0."""
         keys, index = _lexical_keys(self.method, token_text), self.index
-        return tuple(sorted({index[k] for k in keys if k in index})), surface_flags(token_text)
-
-    def nonzeros(self, code: tuple[tuple[int, ...], SurfaceFlags]) -> tuple[list, list]:
-        lit = [*code[0], *compress(self.flag_slots, code[1])]
+        lit = [*sorted({index[k] for k in keys if k in index}),
+               *compress(self.flag_slots, surface_flags(token_text))]
         return lit, [1.0] * len(lit)
 
 
-# What a model encodes its tokens with: both have ``code`` and ``nonzeros``.
+# What a model encodes its tokens with: both have ``nonzeros``.
 TokenEncoder = LexicalEncoder | EmbeddingTable
 
 
@@ -205,7 +197,8 @@ def build_encoder(
 
 def encode_sentence(encoder: TokenEncoder, sentence: Sentence) -> np.ndarray:
     """Encode a sentence as a (n_tokens, encoder.dim) matrix: ``predict``'s reference input."""
-    entries = [encoder.nonzeros(encoder.code(tok.text)) for tok in sentence.tokens]
-    record, xs = _nonzeros_input(entries, encoder.dim), np.zeros((len(entries), encoder.dim))
-    xs[:, record.cols] = record.values
+    xs = np.zeros((len(sentence.tokens), encoder.dim))
+    for row, tok in zip(xs, sentence.tokens):
+        slots, values = encoder.nonzeros(tok.text)
+        row[slots] = values
     return xs

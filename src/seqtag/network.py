@@ -350,7 +350,7 @@ def forward(
 
 
 def text_input_layer(entries: list, config: NetworkConfig, params: Params) -> np.ndarray:
-    """The input layer's (U, dense_size) output on U texts, each given by its code's
+    """The input layer's (U, dense_size) output on U texts, each given by its encoder's
     ``nonzeros``: ``_input_forward`` on the record of each TEXT_BLOCK texts."""
     first = "dense1" if config.variant == "FF" else "dense"
     h = np.empty((len(entries), config.dense_size))
@@ -464,9 +464,9 @@ def sgd_step(params: Params, grads: Params, learning_rate: float) -> Params:
     return params
 
 
-def _nonfinite_tensor(grads: Params) -> str:
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+def _nonfinite_tensor(tensors: Mapping) -> str:
+    for name, t in tensors.items():
+        if not np.all(np.isfinite(t)):
             return name
     return "<overflow in gradient sum>"
 

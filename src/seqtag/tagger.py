@@ -26,6 +26,7 @@ from .encoder import (
 from .network import (
     NetworkConfig,
     Params,
+    _nonfinite_tensor,
     _nonzeros_input,
     backward_bptt,
     forward,
@@ -114,7 +115,7 @@ def train(
     grads = zero_gradients(config)
 
     texts = {w.text for s in sentences for w in s.tokens}  # each is encoded once
-    entry = {t: encoder.nonzeros(encoder.code(t)) for t in texts}
+    entry = {t: encoder.nonzeros(t) for t in texts}
     inputs = [_nonzeros_input([entry[w.text] for w in s.tokens], encoder.dim) for s in sentences]
     golds = [
         np.array([LABEL_TO_INDEX[lab] for lab in s.labels], dtype=np.int64)
@@ -167,7 +168,7 @@ def predict_batch(model: TaggerModel, sentences: list) -> list[PredictionResult]
         groups.setdefault(len(sentence.tokens), []).append(n)
     row = {t: u for u, t in enumerate(dict.fromkeys(w.text for s in sentences for w in s.tokens))}
     ids = [[[row[t.text] for t in sentences[n].tokens] for n in m] for m in groups.values()]
-    entries = [encoder.nonzeros(encoder.code(t)) for t in row]  # row u of the outputs is text u
+    entries = [*map(encoder.nonzeros, row)]  # row u of the outputs is text u
     blocks = forward_batch(text_input_layer(entries, config, params), ids, config, params)
     results: list = [None] * len(sentences)
     for members, ys in zip(groups.values(), blocks):
@@ -258,9 +259,9 @@ def _has_type(value, types) -> bool:
 def load_model(path) -> TaggerModel:
     """Load a model file.
 
-    Verifies the checksum, then the header's structure and its tensor
-    manifest (names and shapes) against the configuration, before copying
-    each tensor from the file bytes into its parameter view.
+    Verifies the checksum, then the header's structure and its tensor manifest
+    (names and shapes) against the configuration, before copying each tensor from
+    the file bytes into its parameter view; every loaded value must be finite.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
@@ -276,7 +277,7 @@ def load_model(path) -> TaggerModel:
         raise ValueError(f"{path}: header extends past end of file")
     try:
         header = json.loads(bytes(body[16 : 16 + header_len]).decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")
@@ -328,6 +329,9 @@ def load_model(path) -> TaggerModel:
         else:
             params[name][...] = data.reshape(shape)
         offset += data.nbytes
+    if not (np.isfinite(params.flat).all() and (method != "EMB" or np.isfinite(vectors).all())):
+        loaded = {"embedding.vectors": vectors, **params} if method == "EMB" else params
+        raise ValueError(f"{path}: non-finite value in {_nonfinite_tensor(loaded)}")
 
     try:  # the EMB table rejects a repeated word
         encoder: TokenEncoder = (EmbeddingTable(vocabulary, vectors) if method == "EMB"

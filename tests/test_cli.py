@@ -229,6 +229,7 @@ MALFORMED_STANDOFF = {
     "overlapping mentions in a blank text": (
         {"text": "   ", "mentions": [{"begin": 0, "end": 2}, {"begin": 1, "end": 3}]},
         "record 0: doc0: gold mentions overlap: [0, 2) and [1, 3)"),
+    "nested too deeply": ("[" * 1000 + "]" * 1000, "JSON nested too deeply"),  # raw text
 }
 
 
@@ -236,7 +237,7 @@ MALFORMED_STANDOFF = {
 def test_malformed_standoff_is_invalid_input(tmp_path, trained_model_path, capsys, case):
     content, where = MALFORMED_STANDOFF[case]
     path = tmp_path / "corpus.json"
-    path.write_text(json.dumps(content), encoding="utf-8")
+    path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {where}")):
         read_standoff(path)
     code = run(
@@ -825,6 +826,10 @@ MALFORMED_MODEL_BODIES = {
     "header-not-json": (
         lambda body: _with_header(body, b"{" * len(_split_header(body)[0])),
         r"header is not UTF-8 JSON \(.+\)",
+    ),
+    "header-nested-too-deeply": (
+        lambda body: _with_header(body, b"[" * 1000 + b"]" * 1000),
+        r"header is not UTF-8 JSON \(maximum recursion depth exceeded.*\)",
     ),
     "data-one-float-short": (
         lambda body: body[:-8], "tensor data does not match the manifest's size"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import time
 
 import pytest
@@ -439,6 +440,14 @@ def test_read_standoff_json_lines_split_only_at_line_feeds(tmp_path):
         encoding="utf-8",
     )
     assert [d.text for d in read_standoff(path).documents] == texts
+
+
+def test_read_standoff_json_line_nested_too_deeply_names_its_line(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"text": "One."}\n' + "[" * 1000 + "]" * 1000 + "\n", encoding="utf-8")
+    message = f"{path}:2: invalid JSON record: maximum recursion depth exceeded"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        read_standoff(path)
 
 
 @pytest.mark.parametrize("content", ["", " \n\t\r\n  \n"])

@@ -33,7 +33,7 @@ def sentence_of(*words):
 
 def encode_token(encoder, text):
     row = np.zeros(encoder.dim)
-    slots, values = encoder.nonzeros(encoder.code(text))
+    slots, values = encoder.nonzeros(text)
     row[slots] = values
     return row
 

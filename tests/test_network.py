@@ -572,7 +572,7 @@ def test_text_input_layer_matches_the_input_layer_on_a_record(variant, method, c
     layer = input_layer(config)
     params[f"{layer}.b"][:] = np.random.default_rng(8).uniform(-0.5, 0.5, 6)
     record = sentence_input(encode_sentence(encoder, sentence_of(texts)))
-    entries = [encoder.nonzeros(encoder.code(t)) for t in texts]
+    entries = [encoder.nonzeros(t) for t in texts]
     built = _nonzeros_input(entries, encoder.dim)  # training's record, bit for bit
     assert built.input_dim == record.input_dim
     for got, want in ((built.cols, record.cols), (built.values, record.values)):
@@ -584,11 +584,11 @@ def test_text_input_layer_matches_the_input_layer_on_a_record(variant, method, c
     assert got.shape == expected.shape == (len(texts), 6)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     if "-" in texts:
-        assert encoder.nonzeros(encoder.code("-")) == ([], [])
+        assert encoder.nonzeros("-") == ([], [])
         assert np.array_equal(got[texts.index("-")], np.maximum(params[f"{layer}.b"], 0.0))
     if case == "repeated trigram" and method == "TRI":
         assert extract_trigrams("banana").count("ana") == 2  # its slot is set once
-        assert encoder.code("banana")[0].count(encoder.index["ana"]) == 1
+        assert encoder.nonzeros("banana")[0].count(encoder.index["ana"]) == 1
 
 
 def test_a_records_peak_memory_does_not_grow_with_the_input_width():
@@ -599,7 +599,7 @@ def test_a_records_peak_memory_does_not_grow_with_the_input_width():
         encoder = build_encoder("DICT", [sentence_of([f"w{i:04d}" for i in range(width - 4)])])
         assert encoder.dim == width
         words = np.random.default_rng(1).integers(0, 200, 2000)
-        entries = [encoder.nonzeros(encoder.code(f"w{i:04d}")) for i in words]
+        entries = [encoder.nonzeros(f"w{i:04d}") for i in words]
         tracemalloc.start()
         try:
             record = _nonzeros_input(entries, encoder.dim)
@@ -617,7 +617,7 @@ def test_text_input_layer_transient_memory_does_not_grow_with_the_text_count():
     encoder = build_encoder("TRI", [sentence_of(words)])
     config = NetworkConfig("BLSTM", input_dim=encoder.dim, dense_size=150, lstm_cells=3)
     params = init_params(config, 0)
-    block = [encoder.nonzeros(encoder.code(w)) for w in words]
+    block = [encoder.nonzeros(w) for w in words]
 
     def peak_beyond_result(entries):
         tracemalloc.start()

@@ -563,6 +563,39 @@ def test_compat_fixture_resaves_byte_identical(tmp_path, fixture):
     assert (tmp_path / "resaved.stm").read_bytes() == original.read_bytes()
 
 
+def _set_tensor_value(body, name, value):
+    """The model body with the first element of tensor ``name`` set to ``value``."""
+    start = 16 + int.from_bytes(body[8:16], "little")
+    offset = start
+    for entry, shape in json.loads(body[16:start])["tensors"]:
+        if entry == name:
+            return body[:offset] + np.float64(value).astype("<f8").tobytes() + body[offset + 8 :]
+        offset += 8 * math.prod(shape)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("fixture, name, value", [
+    ("compat_tri_blstm", "out.b", math.nan),
+    ("compat_tri_blstm", "dense.w", math.inf),
+    ("compat_dict_ff", "dense3.b", -math.inf),
+    ("compat_emb_blstm", "embedding.vectors", math.nan),
+    ("compat_emb_blstm", "decoder.wh_f", math.inf),
+])
+def test_non_finite_tensor_data_is_invalid_input_naming_the_tensor(
+    tmp_path, capsys, fixture, name, value
+):
+    body = _set_tensor_value((DATA / f"{fixture}.stm").read_bytes()[:-32], name, value)
+    path = tmp_path / "model.stm"
+    path.write_bytes(body + hashlib.sha256(body).digest())  # re-checksummed
+    message = f"{path}: non-finite value in {name}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+    text = "Patients received zoravium extract daily."
+    assert cli_main(["annotate", "--model", str(path), "--text", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR invalid-input: {message}\n" and captured.out == ""
+
+
 def test_load_rejects_non_model_file(tmp_path):
     path = tmp_path / "junk.stm"
     body = b"NOTMODEL" + b"\x00" * 32
